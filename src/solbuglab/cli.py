@@ -10,7 +10,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from . import collector, corpus, evaluation, taxonomy
+from . import corpus, evaluation, taxonomy
 from .detectors import DETECTABLE_BUG_IDS, Finding, UnknownRuleError, detect_all
 from .parser import parse_file
 from .taxonomy import Severity
@@ -263,6 +263,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_watch(args) -> int:
+    from . import collector  # imports requests, which no other command needs
+
     if args.config:
         try:
             config = collector.load_config(args.config)

@@ -12,7 +12,6 @@ from enum import Enum
 from importlib import resources
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .parser import parse_file
 from .taxonomy import catalog_ids
 from .versions import PragmaConstraint, VersionSyntaxError, parse_constraint
 
@@ -204,7 +203,8 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
                 violations.append("%s: file not found under %s" % (where, base_dir))
             else:
                 try:
-                    parse_file(full)
+                    with open(full, "rb") as fh:
+                        fh.read()
                 except OSError as exc:
                     violations.append("%s: unreadable: %s" % (where, exc))
 

@@ -14,9 +14,8 @@ wrong-operator detector keys on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 
 class TokenKind(Enum):
@@ -29,8 +28,7 @@ class TokenKind(Enum):
     WHITESPACE = "whitespace"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     start: int
@@ -41,8 +39,11 @@ class Token:
         return (self.start, self.end)
 
     def is_code(self) -> bool:
-        return self.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
+        return self.kind not in _TRIVIA
 
+
+# A module constant: attribute lookups on an Enum class are slow.
+_TRIVIA = (TokenKind.WHITESPACE, TokenKind.COMMENT)
 
 KEYWORDS = frozenset(
     """
@@ -59,17 +60,29 @@ KEYWORDS = frozenset(
 
 _SIZED_TYPE_RE = re.compile(r"^(?:u?int\d+|bytes\d+|u?fixed\d+x\d+)$")
 
-# Longest match first.  =+ and =- intentionally absent.
-_PUNCT3 = (">>=", "<<=", "**=")
-_PUNCT2 = (
-    "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
-    "|=", "&=", "^=", "++", "--", "**", "<<", ">>", "=>", "->", ":=",
+# One alternative per token class, tried in this order at each position.
+# A string runs to its closing quote, skipping backslash escapes (an escaped
+# line break included); unterminated, it stops before the line break.  A
+# digit that ``\d`` does not accept (``²``) is a one-character punctuation
+# token.  Operators are longest match first; ``=+`` and ``=-`` are absent.
+_TOKEN_RE = re.compile(
+    r"""
+     ([ \t\r\n\f\v]+)
+    |(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))
+    |("[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?)
+    |(0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)*(?:[eE][+-]?\d+)?)
+    |([A-Za-z_$][A-Za-z0-9_$]*)
+    |(>>=|<<=|\*\*=
+      |==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\|=|&=|\^=|\+\+|--|\*\*|<<|>>|=>|->|:=
+      |[\s\S])
+    """,
+    re.VERBOSE,
 )
-
-_WS_RE = re.compile(r"[ \t\r\n\f\v]+")
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F_]+")
-_NUM_RE = re.compile(r"\d[\d_]*(?:\.\d[\d_]*)*(?:[eE][+-]?\d+)?")
+# Token kind by the index of the group that matched; words are classified.
+_GROUP_KINDS = (
+    None, TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.STRING,
+    TokenKind.NUMBER, None, TokenKind.PUNCTUATION,
+)
 
 
 def _classify_word(word: str) -> TokenKind:
@@ -78,96 +91,47 @@ def _classify_word(word: str) -> TokenKind:
     return TokenKind.IDENTIFIER
 
 
-def _scan_string(source: str, i: int) -> int:
-    """Return the char index one past the string starting at ``i``.
-
-    An unterminated string ends at the line break (exclusive) or end of input.
-    """
-
-    quote = source[i]
-    n = len(source)
-    j = i + 1
-    while j < n:
-        c = source[j]
-        if c == "\\":
-            j += 2
-            continue
-        if c == quote:
-            return j + 1
-        if c == "\n":
-            return j
-        j += 1
-    return n
-
-
 def lex(source: str) -> List[Token]:
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__
+    words: Dict[str, TokenKind] = {}
     tokens: List[Token] = []
-    n = len(source)
-    i = 0
-    while i < n:
-        c = source[i]
-        m = _WS_RE.match(source, i)
-        if m:
-            tokens.append(Token(TokenKind.WHITESPACE, m.group(), i, m.end()))
-            i = m.end()
-            continue
-        if c == "/" and source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            tokens.append(Token(TokenKind.COMMENT, source[i:j], i, j))
-            i = j
-            continue
-        if c == "/" and source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            tokens.append(Token(TokenKind.COMMENT, source[i:j], i, j))
-            i = j
-            continue
-        if c in "'\"":
-            j = _scan_string(source, i)
-            tokens.append(Token(TokenKind.STRING, source[i:j], i, j))
-            i = j
-            continue
-        if c.isdigit():
-            m = _HEX_RE.match(source, i) or _NUM_RE.match(source, i)
-            tokens.append(Token(TokenKind.NUMBER, m.group(), i, m.end()))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            word = m.group()
-            tokens.append(Token(_classify_word(word), word, i, m.end()))
-            i = m.end()
-            continue
-        three, two = source[i : i + 3], source[i : i + 2]
-        if three in _PUNCT3:
-            tokens.append(Token(TokenKind.PUNCTUATION, three, i, i + 3))
-            i += 3
-            continue
-        if two in _PUNCT2:
-            tokens.append(Token(TokenKind.PUNCTUATION, two, i, i + 2))
-            i += 2
-            continue
-        tokens.append(Token(TokenKind.PUNCTUATION, c, i, i + 1))
-        i += 1
-
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
+        text = m.group()
+        kind = _GROUP_KINDS[m.lastindex]
+        if kind is None:
+            kind = words.get(text)
+            if kind is None:
+                kind = words[text] = _classify_word(text)
+        append(new(Token, (kind, text, m.start(), m.end())))
     if source.isascii():
         return tokens
-    return _rebase_to_bytes(source, tokens)
+    return _rebase_to_bytes(tokens)
 
 
-def _rebase_to_bytes(source: str, tokens: List[Token]) -> List[Token]:
+def _byte_len(text: str) -> int:
+    try:
+        return len(text.encode("utf-8", "surrogateescape"))
+    except UnicodeEncodeError:
+        # a lone surrogate no byte decodes to counts as its 3-byte form
+        return sum(1 if "\udc80" <= c <= "\udcff"
+                   else len(c.encode("utf-8", "surrogatepass")) for c in text)
+
+
+def _rebase_to_bytes(tokens: List[Token]) -> List[Token]:
     """Convert char-indexed spans to byte offsets for non-ASCII input."""
 
-    offsets = [0]
-    for ch in source:
-        offsets.append(offsets[-1] + len(ch.encode("utf-8", "surrogateescape")))
-    return [
-        Token(t.kind, t.text, offsets[t.start], offsets[t.end]) for t in tokens
-    ]
+    new = tuple.__new__
+    out: List[Token] = []
+    pos = 0
+    for kind, text, _, _ in tokens:
+        end = pos + (len(text) if text.isascii() else _byte_len(text))
+        out.append(new(Token, (kind, text, pos, end)))
+        pos = end
+    return out
 
 
 def code_tokens(tokens: List[Token]) -> List[Token]:
     """Tokens with whitespace and comments dropped."""
 
-    return [t for t in tokens if t.is_code()]
+    return [t for t in tokens if t.kind not in _TRIVIA]

@@ -107,7 +107,6 @@ class Stmt:
     kind: StmtKind
     span: Span
     text: str
-    guard_exprs: Tuple[str, ...] = ()
     call: Optional[CallDetail] = None
     assign: Optional[AssignDetail] = None
     decl: Optional[VarDecl] = None

@@ -77,13 +77,16 @@ def _span_of(toks: Sequence[Token]) -> Span:
     return (toks[0].start, toks[-1].end)
 
 
-def _find_matching(ts: Sequence[Token], i: int) -> int:
-    """Index of the token closing the group opened at ``i``; len(ts) if none."""
+def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> int:
+    """Index of the token closing the group opened at ``i``, looking no
+    further than ``end`` (default ``len(ts)``); ``end`` if none."""
 
+    if end is None:
+        end = len(ts)
     close = _OPENERS[ts[i].text]
     open_ = ts[i].text
     depth = 0
-    for j in range(i, len(ts)):
+    for j in range(i, end):
         x = ts[j].text
         if x == open_:
             depth += 1
@@ -91,7 +94,7 @@ def _find_matching(ts: Sequence[Token], i: int) -> int:
             depth -= 1
             if depth == 0:
                 return j
-    return len(ts)
+    return end
 
 
 def _match_back(ts: Sequence[Token], i: int) -> int:
@@ -354,23 +357,15 @@ class _BodyParser:
         contracts: Set[str],
         diagnostics: List[Diagnostic],
     ):
-        self.toks = list(toks)
+        self.toks = toks
         self.body_span = body_span
         self.state_vars = state_vars
         self.structs = structs
         self.contracts = contracts
         self.diagnostics = diagnostics
-        self.stmts: List[Stmt] = []
+        # (kind, tokens, details) per statement; spans are set by _stretch
+        self.stmts: List[Tuple[StmtKind, Sequence[Token], dict]] = []
         self.guards: List[Guard] = []
-        self.blocks: List[List[str]] = []
-        self.pending: List[str] = []
-
-    def current_guards(self) -> Tuple[str, ...]:
-        out: List[str] = []
-        for block in self.blocks:
-            out.extend(block)
-        out.extend(self.pending)
-        return tuple(out)
 
     def run(self) -> Tuple[List[Stmt], List[Guard]]:
         bt = self.toks
@@ -387,16 +382,8 @@ class _BodyParser:
                 i = self._handle_header(i, i + 1)
             elif text == "assembly":
                 i = self._handle_assembly(i)
-            elif text == "{":
+            elif text in ("{", "}"):
                 self._emit(StmtKind.OPAQUE, bt[i : i + 1])
-                self.blocks.append(self.pending)
-                self.pending = []
-                i += 1
-            elif text == "}":
-                self._emit(StmtKind.OPAQUE, bt[i : i + 1])
-                if self.blocks:
-                    self.blocks.pop()
-                self.pending = []
                 i += 1
             else:
                 i = self._handle_simple(i)
@@ -415,28 +402,11 @@ class _BodyParser:
             cond_text = _join(cond_toks)
             cond_span = _span_of(cond_toks) if cond_toks else cond_span
             last = close
-        hdr_guards = self.current_guards()
-        has_block = last + 1 < len(bt) and bt[last + 1].text == "{"
-        if has_block:
+        if last + 1 < len(bt) and bt[last + 1].text == "{":
             last += 1
         slice_ = bt[i : last + 1]
-        call = _scan_call(slice_)
-        self.stmts.append(
-            Stmt(
-                kind=StmtKind.IF_GUARD,
-                span=_span_of(slice_),
-                text=_join(slice_),
-                guard_exprs=hdr_guards,
-                call=call,
-                tokens=tuple(slice_),
-            )
-        )
+        self._emit(StmtKind.IF_GUARD, slice_, call=_scan_call(slice_))
         self.guards.append(Guard("if", cond_text, cond_span))
-        if has_block:
-            self.blocks.append(self.pending + [cond_text])
-            self.pending = []
-        else:
-            self.pending = self.pending + [cond_text]
         return last + 1
 
     def _handle_loop(self, i: int) -> int:
@@ -452,13 +422,9 @@ class _BodyParser:
 
         bt = self.toks
         last = after - 1
-        has_block = after < len(bt) and bt[after].text == "{"
-        if has_block:
+        if after < len(bt) and bt[after].text == "{":
             last = after
         self._emit(StmtKind.OPAQUE, bt[i : last + 1])
-        if has_block:
-            self.blocks.append(self.pending)
-            self.pending = []
         return last + 1
 
     def _handle_assembly(self, i: int) -> int:
@@ -509,20 +475,10 @@ class _BodyParser:
             nxt = end + 1
         if slice_:
             self._classify_and_emit(slice_)
-        self.pending = []
         return max(nxt, i + 1)
 
     def _emit(self, kind: StmtKind, slice_: Sequence[Token], **details) -> None:
-        self.stmts.append(
-            Stmt(
-                kind=kind,
-                span=_span_of(slice_),
-                text=_join(slice_),
-                guard_exprs=self.current_guards(),
-                tokens=tuple(slice_),
-                **details,
-            )
-        )
+        self.stmts.append((kind, slice_, details))
 
     def _classify_and_emit(self, slice_: Sequence[Token]) -> None:
         core = list(slice_)
@@ -633,18 +589,16 @@ class _BodyParser:
             return []
         out: List[Stmt] = []
         prev_end = lo
-        for idx, s in enumerate(self.stmts):
-            end = s.span[1] if idx < len(self.stmts) - 1 else max(s.span[1], hi)
+        last = len(self.stmts) - 1
+        for idx, (kind, slice_, details) in enumerate(self.stmts):
+            end = slice_[-1].end if idx < last else max(slice_[-1].end, hi)
             out.append(
                 Stmt(
-                    kind=s.kind,
+                    kind=kind,
                     span=(prev_end, end),
-                    text=s.text,
-                    guard_exprs=s.guard_exprs,
-                    call=s.call,
-                    assign=s.assign,
-                    decl=s.decl,
-                    tokens=s.tokens,
+                    text=_join(slice_),
+                    tokens=tuple(slice_),
+                    **details,
                 )
             )
             prev_end = end
@@ -710,32 +664,37 @@ def _parse_params(
 def _parse_function_header(
     sig: Sequence[Token],
     i: int,
+    end: int,
     structs: Set[str],
     contracts: Set[str],
     diagnostics: List[Diagnostic],
 ) -> Tuple[_FunctionRaw, int]:
+    """Parse the function starting at ``sig[i]``, reading no token at or
+    past ``end`` (the enclosing contract's closing brace)."""
+
     fn = _FunctionRaw()
     start_tok = sig[i]
     kw = start_tok.text
     k = i + 1
     if kw == "function":
-        if k < len(sig) and _is_word(sig[k]):
+        if k < end and _is_word(sig[k]):
             fn.name = sig[k].text
             k += 1
     else:
         fn.name = kw if kw != "constructor" else "constructor"
+    fn.is_fallback = fn.name in ("", "fallback", "receive")
 
-    if k < len(sig) and sig[k].text == "(":
-        close = _find_matching(sig, k)
-        if close >= len(sig):
+    if k < end and sig[k].text == "(":
+        close = _find_matching(sig, k, end)
+        if close >= end:
             diagnostics.append(
-                Diagnostic("unclosed parameter list", (start_tok.start, sig[-1].end))
+                Diagnostic("unclosed parameter list", (start_tok.start, sig[end - 1].end))
             )
-            close = len(sig) - 1
+            close = end - 1
         fn.params = _parse_params(sig[k + 1 : close], structs, contracts)
         k = close + 1
 
-    while k < len(sig) and sig[k].text not in ("{", ";"):
+    while k < end and sig[k].text not in ("{", ";"):
         text = sig[k].text
         if text in _VISIBILITY:
             fn.visibility = _VISIBILITY[text]
@@ -743,35 +702,32 @@ def _parse_function_header(
         elif text == "payable":
             fn.payable = True
             k += 1
-        elif k + 1 < len(sig) and sig[k + 1].text == "(":
-            k = min(_find_matching(sig, k + 1), len(sig) - 1) + 1
+        elif k + 1 < end and sig[k + 1].text == "(":
+            k = min(_find_matching(sig, k + 1, end), end - 1) + 1
         else:
             k += 1
 
-    if k >= len(sig):
+    if k >= end:
         fn.has_body = False
-        fn.span = (start_tok.start, sig[-1].end)
-        fn.body_span = (sig[-1].end, sig[-1].end)
-        fn.is_fallback = fn.name in ("", "fallback", "receive")
-        return fn, len(sig)
+        fn.span = (start_tok.start, sig[end - 1].end)
+        fn.body_span = (sig[end - 1].end, sig[end - 1].end)
+        return fn, end
 
     if sig[k].text == ";":
         fn.has_body = False
         fn.span = (start_tok.start, sig[k].end)
         fn.body_span = (sig[k].end, sig[k].end)
-        fn.is_fallback = fn.name in ("", "fallback", "receive")
         return fn, k + 1
 
-    close = _find_matching(sig, k)
-    if close >= len(sig):
+    close = _find_matching(sig, k, end)
+    if close >= end:
         diagnostics.append(
-            Diagnostic("unclosed function body", (start_tok.start, sig[-1].end))
+            Diagnostic("unclosed function body", (start_tok.start, sig[end - 1].end))
         )
-        close = len(sig) - 1
-    fn.body_toks = list(sig[k + 1 : close])
+        close = end - 1
+    fn.body_toks = sig[k + 1 : close]
     fn.body_span = (sig[k].end, sig[close].start)
     fn.span = (start_tok.start, sig[close].end)
-    fn.is_fallback = fn.name in ("", "fallback", "receive")
     return fn, close + 1
 
 
@@ -827,7 +783,7 @@ def _parse_contract(
         text = sig[j].text
         if text in ("function", "constructor", "fallback", "receive"):
             fn, j = _parse_function_header(
-                sig[:close], j, structs, contracts, diagnostics
+                sig, j, close, structs, contracts, diagnostics
             )
             raw.functions.append(fn)
         elif text == "modifier":

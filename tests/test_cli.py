@@ -2,10 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from solbuglab import cli
+from solbuglab import cli, parser
 from solbuglab.corpus import default_manifest_path
 
 
@@ -78,6 +80,17 @@ def test_scan_rules_subset_and_unknown(capsys, contracts):
     assert "BOGUS" in err
 
 
+def test_scan_superscript_digit_file(capsys, tmp_path):
+    path = tmp_path / "sup.sol"
+    path.write_text("pragma solidity ^0.4.24;\n"
+                    "contract C { function f() public { uint x = ²; } }\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "scan", "--format", "json", str(path))
+    assert code == 0
+    assert json.loads(out)["findings"] == []
+    assert err == ""
+
+
 def test_scan_missing_path(capsys):
     code, _, err = run_cli(capsys, "scan", "/no/such/place.sol")
     assert code == 2
@@ -101,6 +114,20 @@ def test_bench_json_stable(capsys):
     assert (micro["tp"], micro["fp"], micro["fn"]) == (8, 1, 2)
     _, out2, _ = run_cli(capsys, "bench", "--format", "json")
     assert out2 == out
+
+
+def test_bench_parses_each_entry_once(capsys, monkeypatch, manifest):
+    calls = []
+    real_parse = parser.parse
+
+    def counting_parse(source, file_path="<string>"):
+        calls.append(file_path)
+        return real_parse(source, file_path)
+
+    monkeypatch.setattr(parser, "parse", counting_parse)
+    code, _, _ = run_cli(capsys, "bench", "--format", "json")
+    assert code == 0
+    assert sorted(calls) == sorted(manifest.resolve(e) for e in manifest.entries)
 
 
 def test_bench_gates(capsys):
@@ -252,3 +279,15 @@ def test_watch_bad_config(capsys, tmp_path):
 
 def test_default_corpus_is_bundled():
     assert os.path.basename(default_manifest_path()) == "manifest.json"
+
+
+def test_import_does_not_load_requests():
+    # only `watch` needs the HTTP client; other commands skip its import cost
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys, solbuglab.cli; "
+             "print('requests' in sys.modules, 'solbuglab.collector' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]

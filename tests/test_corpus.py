@@ -119,6 +119,26 @@ def test_missing_file_is_a_violation(tmp_path):
     assert loaded.entries[0].labels == frozenset({"D-a-R"})
 
 
+def test_unreadable_file_is_a_violation(tmp_path, monkeypatch):
+    (tmp_path / "locked.sol").write_text("contract C {}", encoding="utf-8")
+    path = write_manifest(tmp_path, {
+        "schema_version": "1",
+        "entries": [{"path": "locked.sol", "kind": "buggy",
+                     "origin": "unchanged", "labels": ["D-a-R"]}],
+    })
+
+    def refuse_sources(name, *args, **kwargs):
+        if str(name).endswith(".sol"):
+            raise PermissionError("permission denied")
+        return open(name, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", refuse_sources, raising=False)
+    with pytest.raises(ManifestError) as err:
+        load_manifest(path)
+    assert "locked.sol" in str(err.value)
+    assert "unreadable: permission denied" in str(err.value)
+
+
 def test_targets_default_to_labels(tmp_path):
     path = write_manifest(tmp_path, {
         "schema_version": "1",

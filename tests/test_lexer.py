@@ -42,6 +42,8 @@ def test_spans_by_hand():
                 ("=", 7, 8), (" ", 8, 9), ("1", 9, 10), (";", 10, 11),
                 (" ", 11, 12), ("// note", 12, 19)]
     assert [(t.text, t.start, t.end) for t in tokens] == expected
+    assert tokens[0].span == (0, 4)
+    assert tokens[0].is_code() and not tokens[-1].is_code()
 
 
 def test_wrong_operator_adjacency_preserved():
@@ -105,6 +107,21 @@ def test_non_ascii_offsets_stay_byte_based():
     uint_tok = [t for t in tokens if t.text == "uint"][0]
     as_bytes = source.encode("utf-8")
     assert as_bytes[uint_tok.start:uint_tok.start + 4] == b"uint"
+
+
+def test_digit_outside_decimal_class_is_punctuation():
+    # str.isdigit() accepts "²" but the number pattern's \d does not
+    tokens = code_tokens(lex("uint x = ²;"))
+    assert [(t.kind, t.text) for t in tokens[3:]] == [
+        (TokenKind.PUNCTUATION, "²"), (TokenKind.PUNCTUATION, ";")]
+    assert tokens[3].span == (9, 11)
+
+
+def test_lone_surrogate_keeps_spans_contiguous():
+    source = "a\ud800b\udc80"
+    tokens = lex(source)
+    assert "".join(t.text for t in tokens) == source
+    assert [t.span for t in tokens] == [(0, 1), (1, 4), (4, 5), (5, 6)]
 
 
 _FUZZ_PIECES = [

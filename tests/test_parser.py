@@ -278,3 +278,13 @@ def test_fuzzed_sources_never_raise():
         source = " ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 60)))
         model = parse(source)
         assert model is not None
+
+
+def test_superscript_digit_in_body_parses():
+    model = parse("pragma solidity ^0.4.24;\n"
+                  "contract C { function f() public { uint x = ²; x = 1; } }")
+    (fn,) = model.contracts[0].functions
+    assert [s.kind for s in fn.body] == [StmtKind.LOCAL_VAR_DECL,
+                                         StmtKind.ASSIGNMENT]
+    assert body_partition_holds(fn)
+

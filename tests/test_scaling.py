@@ -1,0 +1,71 @@
+"""Parse cost grows linearly: input 8x larger on one axis (functions per
+contract, contracts per file, nesting depth) may cost at most 12x.
+
+The 1x side is timed as eight parses in a row, kept alive like the 8x
+model, so both sides run equally long and hold equally much parsed output;
+alternating them lets a slow phase of a shared host hit both alike.
+"""
+
+import time
+
+import pytest
+
+from solbuglab.parser import parse
+
+BOUND = 12.0
+REPEATS = 3
+
+_FUNCTION = """
+    function pay{i}(uint256 amount, address to) public {{
+        require(amount > {i});
+        if (amount > total) {{ total += amount; }}
+        to.transfer(amount);
+    }}
+"""
+_STATE = """
+    mapping(address => uint256) balances;
+    uint256 total;
+"""
+
+
+def functions_source(n):
+    body = "".join(_FUNCTION.format(i=i) for i in range(n))
+    return "pragma solidity ^0.4.24;\ncontract Wide {%s%s}\n" % (_STATE, body)
+
+
+def contracts_source(n):
+    return "pragma solidity ^0.4.24;\n" + "".join(
+        "contract C%d {%s}\n" % (i, _FUNCTION.format(i=i))
+        for i in range(n))
+
+
+def depth_source(n):
+    opens = "".join("        if (cap > %d) {\n            total += %d;\n" % (i, i)
+                    for i in range(n))
+    return ("pragma solidity ^0.4.24;\ncontract Deep {%s"
+            "    function settle(uint256 cap) public {\n%s%s    }\n}\n"
+            % (_STATE, opens, "        }\n" * n))
+
+
+def timed(call):
+    started = time.perf_counter()
+    result = call()
+    return time.perf_counter() - started, result
+
+
+@pytest.mark.parametrize("make, base, functions_at_8x", [
+    (functions_source, 200, 1600),
+    (contracts_source, 200, 1600),
+    (depth_source, 100, 1),
+], ids=["functions", "contracts", "depth"])
+def test_parse_scales_linearly(make, base, functions_at_8x):
+    small, large = make(base), make(8 * base)
+    small_s, large_s = [], []
+    for _ in range(REPEATS):
+        small_s.append(timed(lambda: [parse(small) for _ in range(8)])[0] / 8)
+        elapsed, model = timed(lambda: parse(large))
+        large_s.append(elapsed)
+        assert sum(len(c.functions) for c in model.contracts) == functions_at_8x
+        del model  # so the next 1x batch runs beside no more live output
+    ratio = min(large_s) / min(small_s)
+    assert ratio <= BOUND, "8x input took %.1fx as long" % ratio
