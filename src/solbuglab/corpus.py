@@ -51,12 +51,6 @@ class CorpusEntry:
     notes: str = ""
     expectations: Tuple[Tuple[str, str], ...] = ()
 
-    def expectation_for(self, bug_id: str) -> Optional[str]:
-        for key, value in self.expectations:
-            if key == bug_id:
-                return value
-        return None
-
 
 @dataclass(frozen=True)
 class CorpusManifest:
@@ -112,6 +106,9 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
     validating a manifest before its files land."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ManifestError(["%s: a manifest must be a JSON object, not %s"
+                             % (path, type(raw).__name__)])
 
     violations: List[str] = []
     base_dir = os.path.dirname(os.path.abspath(path))

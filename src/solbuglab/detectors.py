@@ -5,9 +5,9 @@ surface patterns, not semantics: a guard that merely looks like a fix
 suppresses a finding, and a fix the rule cannot see lexically does not.
 That trade-off is the point; the labeled corpus measures it.
 
-Detectors tied to compiler-version ranges only run when the file's pragma
-intersects the affected range; a missing or unparseable pragma counts as
-"could be any version" and enables them.
+Detectors of kinds the catalog ties to a compiler-version range only run
+when the file's pragma intersects that range; a missing or unparseable
+pragma counts as "could be any version" and enables them.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .lexer import Token, TokenKind
+from .lexer import TokenKind
 from .model import (
     FunctionDecl,
+    Guard,
     SourceModel,
     Span,
     Stmt,
@@ -27,7 +28,8 @@ from .model import (
     TypeClass,
     Visibility,
 )
-from .versions import ANY_VERSION, PragmaConstraint, version_applies
+from .taxonomy import kind_by_id
+from .versions import version_applies
 
 
 @dataclass(frozen=True)
@@ -66,36 +68,79 @@ def _anchor(stmt: Stmt) -> Span:
     return stmt.span
 
 
-def _zero_bound_checked(candidates: Iterable[str], conditions: Iterable[str]) -> bool:
-    """True when some condition compares a candidate against 0 with an order op."""
+# Guards compare an operand against zero in three families: an order op
+# against 0 (A-a-IS), ==/!= against the zero address (E-a-SW) and == against
+# 0 (F-c-T).  Per family, the first pattern finds ``operand OP zero`` and the
+# rest ``zero OP operand`` in a condition with whitespace removed; they are
+# zero-width, so overlapping comparisons are found too.  Group 1 is the operand's word run
+# next to the operator.  In ``0>=x`` the operand is ``x`` after ``>=`` and
+# ``=x`` after ``>``, hence two order patterns.
+_ZERO_ADDR = r"(?:address\(0(?:x0+)?\)|0x0+(?![\w$]))"
+ORDER_VS_ZERO = (re.compile(r"(?<![\w$])(?=([\w$]*)(?:>=|<=|>|<)0(?![\w.]))"),
+                 re.compile(r"(?<![\w.])(?=0[<>]([\w$]*))"),
+                 re.compile(r"(?<![\w.])(?=0[<>]=([\w$]*))"))
+ADDRESS_VS_ZERO = (re.compile(rf"(?<![\w$])(?=([\w$]*)(?:==|!=){_ZERO_ADDR})"),
+                   re.compile(rf"(?={_ZERO_ADDR}(?:==|!=)([\w$]*))"))
+EQUALS_ZERO = (re.compile(r"(?<![\w$])(?=([\w$]*)==0(?![\w.]))"),
+               re.compile(r"(?<![\w.])(?=0==([\w$]*))"))
+_WORD_CHAR = re.compile(r"[\w$]")
+_HEAD_RUN = re.compile(r"[\w$]*")
+_TAIL_RUN = re.compile(r"(?s:.*[^\w$])?([\w$]*)")
 
-    pats = []
-    for cand in candidates:
-        if not cand:
-            continue
-        c = re.escape(_nospace(cand))
-        pats.append(re.compile(rf"(?<![\w$]){c}(?:>=|<=|>|<)0(?![\w.])"))
-        pats.append(re.compile(rf"(?<![\w.])0(?:>=|<=|>|<){c}(?![\w$])"))
-    for cond in conditions:
-        flat = _nospace(cond)
-        for p in pats:
-            if p.search(flat):
-                return True
-    return False
+
+class GuardIndex:
+    """Where a function's guards compare an operand against zero.
+
+    On the first query the conditions are flattened and scanned once with
+    ``family`` (ORDER_VS_ZERO, ADDRESS_VS_ZERO or EQUALS_ZERO), each
+    comparison filed under its operand's word run.  An operand is looked up
+    by its end run and its start run, in a table of the compared texts of
+    its length that is built once per run and length.  It must be exactly
+    the compared text, with no word character or ``$`` just outside it;
+    whitespace in an operand never matches.
+    """
+
+    def __init__(self, guards: Iterable[Guard], family: Tuple[re.Pattern, ...]) -> None:
+        self._guards, self._family = guards, family
+        # (operand first?, run) -> [(guard offset, flat condition, run edge)]
+        self._sites: Optional[Dict[Tuple[bool, str], List[Tuple[int, str, int]]]] = None
+        self._tables: Dict[Tuple[bool, str, int], Dict[str, int]] = {}
+
+    def _earliest(self, operand_first: bool, operand: str) -> float:
+        if self._sites is None:  # built on first use: most functions cast nothing
+            self._sites = {}
+            for guard in self._guards:
+                offset, flat = guard.span[0], _nospace(guard.condition)
+                for n, pattern in enumerate(self._family):
+                    for m in pattern.finditer(flat):
+                        self._sites.setdefault((n == 0, m.group(1)), []).append(
+                            (offset, flat, m.end(1) if n == 0 else m.start(1)))
+        run = (_TAIL_RUN.fullmatch(operand).group(1) if operand_first
+               else _HEAD_RUN.match(operand).group())
+        size = len(operand)
+        table = self._tables.get((operand_first, run, size))
+        if table is None:
+            table = self._tables[operand_first, run, size] = {}
+            for offset, flat, edge in self._sites.get((operand_first, run), ()):
+                lo, hi = (edge - size, edge) if operand_first else (edge, edge + size)
+                outside = lo - 1 if operand_first else hi
+                if lo >= 0 and hi <= len(flat) and not (
+                        outside >= 0 and _WORD_CHAR.match(flat, outside)):
+                    table[flat[lo:hi]] = min(offset, table.get(flat[lo:hi], offset))
+        return table.get(operand, float("inf"))
+
+    def checked(self, operands: Iterable[str], before: float = float("inf")) -> bool:
+        """True when a guard starting before offset ``before`` (default: any
+        guard) compares one of ``operands`` against zero."""
+        return any(min(self._earliest(True, o), self._earliest(False, o)) < before
+                   for o in operands)
 
 
 _UINT_CAST_RE = re.compile(r"^uint\d*$")
-_INT_CAST_RE = re.compile(r"^int\d*$")
 
 
-def detect_integer_sign(
-    model: SourceModel, include_unsigned_to_signed: bool = False
-) -> List[Finding]:
-    """Signed values converted to unsigned without a zero lower-bound check.
-
-    The optional reverse direction (unsigned into signed, which can flip the
-    sign on large values) is off by default.
-    """
+def detect_integer_sign(model: SourceModel) -> List[Finding]:
+    """Signed values converted to unsigned without a zero lower-bound check."""
 
     findings: List[Finding] = []
     for contract in model.contracts:
@@ -103,37 +148,20 @@ def detect_integer_sign(
             v.name for v in contract.state_vars
             if v.type_class is TypeClass.SIGNED_INT
         }
-        unsigned_state = {
-            v.name for v in contract.state_vars
-            if v.type_class is TypeClass.UNSIGNED_INT
-        }
         for fn in contract.functions:
+            guards = GuardIndex(fn.guards, ORDER_VS_ZERO)
             signed = set(signed_state)
-            unsigned = set(unsigned_state)
-            for p in fn.params:
-                if p.type_class is TypeClass.SIGNED_INT:
-                    signed.add(p.name)
-                elif p.type_class is TypeClass.UNSIGNED_INT:
-                    unsigned.add(p.name)
+            signed.update(
+                p.name for p in fn.params if p.type_class is TypeClass.SIGNED_INT
+            )
+            signed.update(
+                s.decl.name for s in fn.body
+                if s.decl is not None and s.decl.type_class is TypeClass.SIGNED_INT
+            )
             for s in fn.body:
-                if s.decl is not None:
-                    if s.decl.type_class is TypeClass.SIGNED_INT:
-                        signed.add(s.decl.name)
-                    elif s.decl.type_class is TypeClass.UNSIGNED_INT:
-                        unsigned.add(s.decl.name)
-
-            for s in fn.body:
-                for cast_re, pool, bug_src in (
-                    (_UINT_CAST_RE, signed, "signed"),
-                    (_INT_CAST_RE, unsigned, "unsigned"),
-                ):
-                    if bug_src == "unsigned" and not include_unsigned_to_signed:
-                        continue
-                    findings.extend(
-                        _cast_findings(
-                            model, contract.name, fn, s, cast_re, pool, bug_src
-                        )
-                    )
+                findings.extend(
+                    _cast_findings(model, contract.name, fn, guards, s, signed)
+                )
     return findings
 
 
@@ -141,15 +169,14 @@ def _cast_findings(
     model: SourceModel,
     contract_name: str,
     fn: FunctionDecl,
+    guards: GuardIndex,
     stmt: Stmt,
-    cast_re: re.Pattern,
-    source_pool: set,
-    direction: str,
+    signed: set,
 ) -> List[Finding]:
     out: List[Finding] = []
     toks = stmt.tokens
     for i, tok in enumerate(toks):
-        if tok.kind is not TokenKind.KEYWORD or not cast_re.match(tok.text):
+        if tok.kind is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok.text):
             continue
         if i + 1 >= len(toks) or toks[i + 1].text != "(":
             continue
@@ -171,10 +198,9 @@ def _cast_findings(
         inner_idents = [
             t.text for t in inner if t.kind is TokenKind.IDENTIFIER
         ]
-        from_pool = any(name in source_pool for name in inner_idents)
+        from_pool = any(name in signed for name in inner_idents)
         negative_literal = (
-            direction == "signed"
-            and inner[0].text == "-"
+            inner[0].text == "-"
             and len(inner) >= 2
             and inner[1].kind is TokenKind.NUMBER
         )
@@ -186,27 +212,9 @@ def _cast_findings(
         if len(inner) == 1:
             candidates.append(inner[0].text)
         else:
-            candidates.extend(n for n in inner_idents if n in source_pool)
-        preceding = [
-            g.condition for g in fn.guards if g.span[0] < cast_span[0]
-        ]
-        if direction == "signed" and _zero_bound_checked(candidates, preceding):
+            candidates.extend(n for n in inner_idents if n in signed)
+        if guards.checked((_nospace(c) for c in candidates if c), cast_span[0]):
             continue
-        if direction == "unsigned":
-            # reverse direction: a range check on the source is the analogue
-            if _zero_bound_checked(candidates, preceding):
-                continue
-        inner_text = " ".join(t.text for t in inner)
-        if direction == "signed":
-            message = (
-                f"{tok.text}({_snippet(inner_text)}) converts a signed value to unsigned "
-                "with no preceding check that it is non-negative"
-            )
-        else:
-            message = (
-                f"{tok.text}({_snippet(inner_text)}) converts an unsigned value to signed "
-                "with no preceding range check"
-            )
         out.append(
             Finding(
                 bug_id="A-a-IS",
@@ -214,7 +222,10 @@ def _cast_findings(
                 contract=contract_name,
                 function=fn.name,
                 span=cast_span,
-                message=message,
+                message=(
+                    f"{tok.text}({_snippet(candidates[0])}) converts a signed value "
+                    "to unsigned with no preceding check that it is non-negative"
+                ),
             )
         )
     return out
@@ -419,25 +430,6 @@ def detect_short_address(model: SourceModel) -> List[Finding]:
     return findings
 
 
-_ZERO_ADDR = r"(?:address\(0(?:x0+)?\)|0x0+(?![\w$]))"
-
-
-def _zero_address_checked(names: Iterable[str], conditions: Iterable[str]) -> bool:
-    pats = []
-    for name in names:
-        if not name:
-            continue
-        n = re.escape(name)
-        pats.append(re.compile(rf"(?<![\w$]){n}(?:==|!=){_ZERO_ADDR}"))
-        pats.append(re.compile(rf"{_ZERO_ADDR}(?:==|!=){n}(?![\w$])"))
-    for cond in conditions:
-        flat = _nospace(cond)
-        for p in pats:
-            if p.search(flat):
-                return True
-    return False
-
-
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
 
 
@@ -487,8 +479,8 @@ def detect_wrong_signature_guard(model: SourceModel) -> List[Finding]:
             if compare_stmt is None:
                 continue
             names = result_vars + comparands
-            conditions = [g.condition for g in fn.guards]
-            if _zero_address_checked(names, conditions):
+            guards = GuardIndex(fn.guards, ADDRESS_VS_ZERO)
+            if guards.checked(n for n in names if n):
                 continue
             findings.append(
                 Finding(
@@ -528,6 +520,7 @@ def detect_approve_race(model: SourceModel) -> List[Finding]:
             ]
             if not addr_params or not uint_params:
                 continue
+            guards = GuardIndex(fn.guards, EQUALS_ZERO)
             for s in fn.body:
                 if s.kind is not StmtKind.ASSIGNMENT or s.assign is None:
                     continue
@@ -538,7 +531,7 @@ def detect_approve_race(model: SourceModel) -> List[Finding]:
                 value_param = next((u for u in uint_params if rhs == u), None)
                 if value_param is None:
                     continue
-                if _approve_zero_guarded(fn, value_param, lhs):
+                if guards.checked((value_param, lhs)):
                     continue
                 findings.append(
                     Finding(
@@ -558,42 +551,25 @@ def detect_approve_race(model: SourceModel) -> List[Finding]:
     return findings
 
 
-def _approve_zero_guarded(fn: FunctionDecl, value_param: str, lhs_flat: str) -> bool:
-    pats = []
-    for cand in (value_param, lhs_flat):
-        c = re.escape(cand)
-        pats.append(re.compile(rf"(?<![\w$]){c}==0(?![\w.])"))
-        pats.append(re.compile(rf"(?<![\w.])0=={c}(?![\w$])"))
-    for g in fn.guards:
-        flat = _nospace(g.condition)
-        for p in pats:
-            if p.search(flat):
-                return True
-    return False
-
-
 Rule = Callable[[SourceModel], List[Finding]]
 
 
 @dataclass(frozen=True)
 class DetectorEntry:
     bug_id: str
-    affected_versions: PragmaConstraint
     rule: Rule = field(repr=False)
 
-
-_LEGACY_ONLY = PragmaConstraint("<=0.4.26", None, (0, 4, 27))
 
 DETECTORS: Dict[str, DetectorEntry] = {
     entry.bug_id: entry
     for entry in (
-        DetectorEntry("A-a-IS", ANY_VERSION, detect_integer_sign),
-        DetectorEntry("A-a-W", _LEGACY_ONLY, detect_wrong_operator),
-        DetectorEntry("A-c-US", _LEGACY_ONLY, detect_uninitialized_storage),
-        DetectorEntry("D-a-R", ANY_VERSION, detect_reentrancy),
-        DetectorEntry("E-a-SA", ANY_VERSION, detect_short_address),
-        DetectorEntry("E-a-SW", ANY_VERSION, detect_wrong_signature_guard),
-        DetectorEntry("F-c-T", ANY_VERSION, detect_approve_race),
+        DetectorEntry("A-a-IS", detect_integer_sign),
+        DetectorEntry("A-a-W", detect_wrong_operator),
+        DetectorEntry("A-c-US", detect_uninitialized_storage),
+        DetectorEntry("D-a-R", detect_reentrancy),
+        DetectorEntry("E-a-SA", detect_short_address),
+        DetectorEntry("E-a-SW", detect_wrong_signature_guard),
+        DetectorEntry("F-c-T", detect_approve_race),
     )
 }
 
@@ -621,7 +597,7 @@ def detect_all(
     findings: List[Finding] = []
     for bug_id in ids:
         entry = DETECTORS[bug_id]
-        if not version_applies(model.pragma, entry.affected_versions):
+        if not version_applies(model.pragma, kind_by_id(bug_id).affected_versions):
             continue
         findings.extend(entry.rule(model))
     findings.sort(key=Finding.sort_key)

@@ -12,9 +12,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from .corpus import CorpusManifest, EntryKind
 from .detectors import DETECTABLE_BUG_IDS, detect_all
 from .parser import parse_file
-from .taxonomy import catalog_ids
-
-CATALOG_SIZE = 49
+from .taxonomy import catalog, catalog_ids
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ def coverage(claims: Iterable[str], warnings: Optional[List[str]] = None) -> flo
     unknown = sorted(claimed - known)
     if unknown and warnings is not None:
         warnings.append("claims outside the catalog ignored: %s" % ", ".join(unknown))
-    return len(known) / CATALOG_SIZE
+    return len(known) / len(catalog())
 
 
 def match(tool: ToolReport, manifest: CorpusManifest
@@ -240,6 +238,9 @@ def load_report(path: str) -> ToolReport:
     """
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ReportError("%s: a tool report must be a JSON object, not %s"
+                          % (path, type(raw).__name__))
     problems: List[str] = []
     tool_name = raw.get("tool_name")
     if not isinstance(tool_name, str) or not tool_name:

@@ -172,6 +172,18 @@ def test_bench_invalid_report(capsys, tmp_path):
     assert "WHAT" in err
 
 
+@pytest.mark.parametrize("flag, what", [("--tool", "tool report"),
+                                        ("--corpus", "manifest")])
+def test_bench_input_that_is_not_an_object(capsys, tmp_path, flag, what):
+    path = tmp_path / "input.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "%s: a %s must be a JSON object, not list" % (path, what) in err
+
+
 def test_catalog_overview(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0

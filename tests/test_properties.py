@@ -1,10 +1,24 @@
 """Front-end contract on arbitrary input, checked with hypothesis: lexing
 never raises and is lossless with contiguous byte spans; parsing never
-raises, is deterministic, and its statement spans partition each body."""
+raises, is deterministic, and its statement spans partition each body.
+The guard index gives the verdicts of the per-guard regex predicates it
+replaced, kept here unchanged as the oracle."""
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import re
+from types import SimpleNamespace
+from typing import Iterable
 
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from solbuglab.detectors import (
+    ADDRESS_VS_ZERO,
+    EQUALS_ZERO,
+    ORDER_VS_ZERO,
+    GuardIndex,
+    _nospace,
+)
 from solbuglab.lexer import lex
+from solbuglab.model import Guard
 from solbuglab.parser import parse
 
 from test_parser import body_partition_holds
@@ -84,3 +98,145 @@ def test_parse_is_total_deterministic_and_partitions_bodies(source):
         for fn in contract.functions:
             if fn.has_body:
                 assert body_partition_holds(fn), fn.name
+
+
+# --- guard index against the regex predicates it replaced ------------------
+
+def _zero_bound_checked(candidates: Iterable[str], conditions: Iterable[str]) -> bool:
+    """True when some condition compares a candidate against 0 with an order op."""
+
+    pats = []
+    for cand in candidates:
+        if not cand:
+            continue
+        c = re.escape(_nospace(cand))
+        pats.append(re.compile(rf"(?<![\w$]){c}(?:>=|<=|>|<)0(?![\w.])"))
+        pats.append(re.compile(rf"(?<![\w.])0(?:>=|<=|>|<){c}(?![\w$])"))
+    for cond in conditions:
+        flat = _nospace(cond)
+        for p in pats:
+            if p.search(flat):
+                return True
+    return False
+
+
+_ZERO_ADDR = r"(?:address\(0(?:x0+)?\)|0x0+(?![\w$]))"
+
+
+def _zero_address_checked(names: Iterable[str], conditions: Iterable[str]) -> bool:
+    pats = []
+    for name in names:
+        if not name:
+            continue
+        n = re.escape(name)
+        pats.append(re.compile(rf"(?<![\w$]){n}(?:==|!=){_ZERO_ADDR}"))
+        pats.append(re.compile(rf"{_ZERO_ADDR}(?:==|!=){n}(?![\w$])"))
+    for cond in conditions:
+        flat = _nospace(cond)
+        for p in pats:
+            if p.search(flat):
+                return True
+    return False
+
+
+def _approve_zero_guarded(fn, value_param: str, lhs_flat: str) -> bool:
+    pats = []
+    for cand in (value_param, lhs_flat):
+        c = re.escape(cand)
+        pats.append(re.compile(rf"(?<![\w$]){c}==0(?![\w.])"))
+        pats.append(re.compile(rf"(?<![\w.])0=={c}(?![\w$])"))
+    for g in fn.guards:
+        flat = _nospace(g.condition)
+        for p in pats:
+            if p.search(flat):
+                return True
+    return False
+
+
+# Operands are word runs (``$``, non-ASCII letters and a non-ASCII digit
+# included), possibly joined by ``.``, ``-``, brackets, ``=`` or whitespace.
+_WORD = st.sampled_from(("x", "y", "_v", "$", "é", "\u0663", "0", "1"))
+_RUN = st.lists(_WORD, min_size=1, max_size=2).map("".join)
+_OPERAND = st.lists(_RUN, min_size=1, max_size=2).flatmap(
+    lambda words: st.sampled_from((".", "-", "[", "]", "=", ">", " ", "\t")).map(
+        lambda sep: sep.join(words)))
+# Conditions are comparisons of operands with zero spellings through the
+# operators that overlap (``>=`` and ``>``, ``==`` and ``=``), joined by glue
+# that may touch them.  Each test favours its own family's operators and
+# zeros, and draws the others too.
+_ZEROS = ("0", "address(0)", "0x0", "00", "0x00", "0x0a", "address(0x00)",
+          "address(0x0)")
+_OPERATORS = (">=", "==", "!=", ">", "<", "<=", "=")
+_GLUE = st.sampled_from(
+    ("&&", " ", "||", "", "(", ")", ".", "-", "$", "a", "1", "!", "\u3000"))
+_OFFSET = st.integers(0, 40)
+_CAST = st.just(float("inf")) | _OFFSET  # inf: any guard precedes
+
+
+@st.composite
+def _guard_cases(draw, operators, zeros, operands_per_query):
+    """Guards and queries that share operands, so that matches are common.
+    Several queries go to one index, so answers kept from an earlier query
+    are checked too; a cast offset of inf stands for "any guard"."""
+    pool = draw(st.lists(_OPERAND, min_size=1, max_size=3))
+    side = st.sampled_from(pool)
+    comparison = st.tuples(
+        side, st.sampled_from(operators) | st.sampled_from(_OPERATORS),
+        st.sampled_from(zeros) | st.sampled_from(_ZEROS), st.booleans()).map(
+        lambda c: c[0] + c[1] + c[2] if c[3] else c[2] + c[1] + c[0])
+    condition = st.tuples(st.lists(comparison, max_size=3), _GLUE).map(
+        lambda c: c[1].join(c[0]))
+    guards = draw(st.lists(st.builds(
+        lambda text, offset: Guard("require", text, (offset, offset + 1)),
+        condition, _OFFSET), max_size=5))
+    operand = side | _OPERAND | st.just("")
+    flat = [_nospace(g.condition) for g in guards if g.condition.strip()]
+    if flat:  # slices of a condition hit operator and boundary edge cases
+        operand |= st.sampled_from(flat).flatmap(lambda text: st.tuples(
+            st.integers(0, len(text)), st.integers(0, len(text))).map(
+                lambda ends: text[min(ends):max(ends)]))
+    operands = st.lists(operand, min_size=operands_per_query[0],
+                        max_size=operands_per_query[1])
+    queries = draw(st.lists(st.tuples(operands, _CAST),
+                            min_size=1, max_size=4))
+    return guards, queries
+
+
+def _before(guards, offset):
+    return [g for g in guards if g.span[0] < offset]
+
+
+@_SETTINGS
+@given(_guard_cases((">=", "<=", ">", "<"), ("0",), (0, 3)))
+# ``$`` just outside an operand that is not one word run: no match
+@example(([Guard("require", "a$.x>=0&&0>=x.$", (0, 1))], [([".x", "x."], float("inf"))]))
+def test_order_guard_index_matches_zero_bound_regexes(case):
+    guards, queries = case
+    index = GuardIndex(guards, ORDER_VS_ZERO)
+    for candidates, offset in queries:
+        expected = _zero_bound_checked(
+            candidates, [g.condition for g in _before(guards, offset)])
+        flat = (_nospace(c) for c in candidates if c)
+        assert index.checked(flat, offset) == expected
+
+
+@_SETTINGS
+@given(_guard_cases(("==", "!="), ("address(0)", "address(0x00)", "0x0"), (0, 3)))
+def test_address_guard_index_matches_zero_address_regexes(case):
+    guards, queries = case
+    index = GuardIndex(guards, ADDRESS_VS_ZERO)
+    for names, offset in queries:
+        expected = _zero_address_checked(
+            names, [g.condition for g in _before(guards, offset)])
+        assert index.checked((n for n in names if n), offset) == expected
+
+
+@_SETTINGS
+@given(_guard_cases(("==",), ("0",), (2, 2)))
+def test_equals_guard_index_matches_approve_zero_regexes(case):
+    guards, queries = case
+    index = GuardIndex(guards, EQUALS_ZERO)
+    for (value_param, lhs), offset in queries:
+        fn = SimpleNamespace(guards=_before(guards, offset))
+        expected = _approve_zero_guarded(fn, value_param, lhs)
+        assert index.checked((value_param, lhs), offset) == expected

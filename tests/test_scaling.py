@@ -1,8 +1,9 @@
-"""Parse cost grows linearly: input 8x larger on one axis (functions per
-contract, contracts per file, nesting depth) may cost at most 12x.
+"""Parse and detection cost grow linearly: input 8x larger on one axis
+(functions per contract, contracts per file, nesting depth, guarded units
+in one body) may cost at most 12x.
 
-The 1x side is timed as eight parses in a row, kept alive like the 8x
-model, so both sides run equally long and hold equally much parsed output;
+The 1x side is timed as eight runs in a row, kept alive like the 8x
+result, so both sides run equally long and hold equally much output;
 alternating them lets a slow phase of a shared host hit both alike.
 """
 
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+from solbuglab.detectors import detect_all
 from solbuglab.parser import parse
 
 BOUND = 12.0
@@ -67,5 +69,41 @@ def test_parse_scales_linearly(make, base, functions_at_8x):
         large_s.append(elapsed)
         assert sum(len(c.functions) for c in model.contracts) == functions_at_8x
         del model  # so the next 1x batch runs beside no more live output
+    ratio = min(large_s) / min(small_s)
+    assert ratio <= BOUND, "8x input took %.1fx as long" % ratio
+
+
+# Sign units: a signed local cast to unsigned after a zero check, and a
+# signed expression cast before its check, so each unit adds guards both
+# before and after a cast.
+_SIGN_UNIT = """
+        int256 v{k} = delta - {k};
+        require(v{k} >= 0);
+        uint256 a{k} = uint256(v{k});
+        uint256 b{k} = uint256(delta - {k});
+        require(delta - {k} >= 0);
+        assert(0 <= b{k});
+"""
+
+
+def guarded_source(n, nested):
+    opens = "".join(("        if (cap > %d) {\n" % k if nested else "")
+                    + _SIGN_UNIT.format(k=k) for k in range(n))
+    return ("pragma solidity ^0.4.24;\ncontract Guarded {\n"
+            "    function settle(int256 delta, uint256 cap) public {\n%s%s    }\n}\n"
+            % (opens, "        }\n" * n if nested else ""))
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["guards", "depth"])
+def test_detect_scales_linearly(nested):
+    small = parse(guarded_source(100, nested))
+    large = parse(guarded_source(800, nested))
+    small_s, large_s = [], []
+    for _ in range(REPEATS):
+        small_s.append(timed(lambda: [detect_all(small) for _ in range(8)])[0] / 8)
+        elapsed, findings = timed(lambda: detect_all(large))
+        large_s.append(elapsed)
+        assert len(findings) == 800  # the delta - k casts; the v casts are checked
+        del findings
     ratio = min(large_s) / min(small_s)
     assert ratio <= BOUND, "8x input took %.1fx as long" % ratio
