@@ -10,9 +10,8 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from . import corpus, evaluation, taxonomy
-from .detectors import DETECTABLE_BUG_IDS, Finding, UnknownRuleError, detect_all
-from .parser import parse_file
+from . import corpus, evaluation, runner, taxonomy
+from .detectors import DETECTABLE_BUG_IDS, Finding
 from .taxonomy import Severity
 
 _SEVERITY_RANK = {Severity.LOW: 0, Severity.MIDDLE: 1,
@@ -38,20 +37,20 @@ def _cmd_scan(args) -> int:
         enabled = None
     else:
         enabled = [r.strip() for r in args.rules.split(",") if r.strip()]
+        unknown = sorted(set(enabled) - set(DETECTABLE_BUG_IDS))
+        if unknown:
+            print("error: no detector for: %s" % ", ".join(unknown), file=sys.stderr)
+            return 2
+        if not enabled:
+            print("error: --rules names no rule", file=sys.stderr)
+            return 2
     errors: List[str] = []
     files = _collect_sol_files(args.paths, errors)
     findings: List[Finding] = []
-    for path in files:
-        try:
-            model = parse_file(path)
-        except OSError as exc:
-            errors.append("%s: %s" % (path, exc))
-            continue
-        try:
-            findings.extend(detect_all(model, enabled=enabled))
-        except UnknownRuleError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+    for path, (error, found) in zip(files, runner.scan_files(files, enabled)):
+        if error is not None:
+            errors.append("%s: %s" % (path, error))
+        findings.extend(found)
     findings.sort(key=lambda f: f.sort_key())
 
     severity_of = {kind.id: kind.severity for kind in taxonomy.catalog()}
@@ -84,21 +83,28 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _input_error(path: str, exc: Exception) -> int:
+    """Report an input file that could not be used; exit code 2. Only a JSON
+    syntax error lacks the file name, which the other errors carry."""
+    if isinstance(exc, json.JSONDecodeError):
+        exc = "%s: %s" % (path, exc)
+    print("error: %s" % exc, file=sys.stderr)
+    return 2
+
+
 def _cmd_bench(args) -> int:
     manifest_path = args.corpus or corpus.default_manifest_path()
     try:
         manifest = corpus.load_manifest(manifest_path)
     except (OSError, json.JSONDecodeError, corpus.ManifestError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.tool == "self":
-        tool = evaluation.self_report(manifest)
-    else:
-        try:
+        return _input_error(manifest_path, exc)
+    try:
+        if args.tool == "self":
+            tool = evaluation.self_report(manifest)
+        else:
             tool = evaluation.load_report(args.tool)
-        except (OSError, json.JSONDecodeError, evaluation.ReportError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+    except (OSError, json.JSONDecodeError, evaluation.ReportError) as exc:
+        return _input_error(args.tool, exc)
     report = evaluation.evaluate(tool, manifest, split_crafted=args.split_crafted)
     if args.format == "json":
         sys.stdout.write(report.to_json())
@@ -217,8 +223,7 @@ def _cmd_merge(args) -> int:
         with open(args.records, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _input_error(args.records, exc)
     problems: List[str] = []
     records: List[taxonomy.BugRecord] = []
     if not isinstance(raw, list):
@@ -269,16 +274,14 @@ def _cmd_watch(args) -> int:
         try:
             config = collector.load_config(args.config)
         except (OSError, json.JSONDecodeError, collector.ConfigError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+            return _input_error(args.config, exc)
     else:
         config = collector.WatchConfig()
     if args.replay:
         try:
             client = collector.RecordedSearchClient(args.replay)
         except (OSError, json.JSONDecodeError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+            return _input_error(args.replay, exc)
     else:
         client = collector.HttpSearchClient(config)
     print("watching %d keyword(s), checking every %d day(s)"
@@ -289,10 +292,7 @@ def _cmd_watch(args) -> int:
             results = [result]
         else:
             results = collector.watch_loop(config, client)
-    except collector.AuthError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, collector.StateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     failed = False

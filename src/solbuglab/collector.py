@@ -33,10 +33,14 @@ DEFAULT_INTERVAL_DAYS = 15
 class ConfigError(ValueError):
     """Watch configuration failed validation."""
 
-    def __init__(self, problems: Sequence[str]):
+    def __init__(self, problems: Sequence[str], path: str):
         self.problems = list(problems)
-        super().__init__("watch config has %d problem(s):\n  %s"
-                         % (len(self.problems), "\n  ".join(self.problems)))
+        super().__init__("%s: watch config has %d problem(s):\n  %s"
+                         % (path, len(self.problems), "\n  ".join(self.problems)))
+
+
+class StateError(ValueError):
+    """The watch state file holds something other than watch state."""
 
 
 class AuthError(RuntimeError):
@@ -67,7 +71,7 @@ def load_config(path: str) -> WatchConfig:
         raw = json.load(handle)
     problems: List[str] = []
     if not isinstance(raw, dict):
-        raise ConfigError(["config must be a JSON object"])
+        raise ConfigError(["config must be a JSON object"], path)
     for key in sorted(set(raw) - set(_CONFIG_KEYS)):
         problems.append("unknown key %r" % key)
 
@@ -101,7 +105,7 @@ def load_config(path: str) -> WatchConfig:
         else:
             problems.append("notify must be 'stdout' or an http(s) URL")
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError(problems, path)
     return WatchConfig(**fields)
 
 
@@ -305,18 +309,37 @@ def notify_webhook(changes: ChangeSet, url: str,
 
 
 def load_state(path: str) -> Tuple[Optional[str], Dict[str, ProjectSnapshot]]:
-    """Missing state file means a fresh start, not an error."""
+    """Missing state file means a fresh start, not an error. A file that is
+    not watch state raises StateError and is left as it is."""
     if not os.path.exists(path):
         return None, {}
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise StateError("%s: watch state is not valid JSON: %s" % (path, exc)) from None
+    if not isinstance(raw, dict):
+        raise StateError("%s: watch state must be a JSON object, not %s"
+                         % (path, type(raw).__name__))
+    cursor = raw.get("cursor")
+    items = raw.get("projects", [])
+    if cursor is not None and not isinstance(cursor, str):
+        raise StateError("%s: watch state cursor must be a string" % path)
+    if not isinstance(items, list):
+        raise StateError("%s: watch state projects must be a list" % path)
     projects = {}
-    for item in raw.get("projects", []):
+    for index, item in enumerate(items):
+        if not (isinstance(item, dict)
+                and all(isinstance(item.get(key), str)
+                        for key in ("project_id", "last_update"))
+                and isinstance(item.get("matched_keyword", ""), str)):
+            raise StateError("%s: watch state project %d needs string project_id "
+                             "and last_update" % (path, index))
         snapshot = ProjectSnapshot(project_id=item["project_id"],
                                    last_update=item["last_update"],
                                    matched_keyword=item.get("matched_keyword", ""))
         projects[snapshot.project_id] = snapshot
-    return raw.get("cursor"), projects
+    return cursor, projects
 
 
 def save_state(path: str, cursor: Optional[str],

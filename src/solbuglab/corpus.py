@@ -83,10 +83,11 @@ class CorpusManifest:
 class ManifestError(ValueError):
     """One or more manifest violations, all reported together."""
 
-    def __init__(self, violations: Sequence[str]):
+    def __init__(self, violations: Sequence[str], path: Optional[str] = None):
         self.violations = list(violations)
-        super().__init__("manifest has %d violation(s):\n  %s"
-                         % (len(self.violations), "\n  ".join(self.violations)))
+        super().__init__("%smanifest has %d violation(s):\n  %s"
+                         % ("" if path is None else path + ": ", len(self.violations),
+                            "\n  ".join(self.violations)))
 
 
 def _check_ids(raw, label: str, where: str, known: FrozenSet[str],
@@ -119,7 +120,7 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
         violations.append("unsupported schema_version %r" % (schema_version,))
     raw_entries = raw.get("entries")
     if not isinstance(raw_entries, list):
-        raise ManifestError(violations + ["entries must be a list"])
+        raise ManifestError(violations + ["entries must be a list"], path)
 
     entries: List[CorpusEntry] = []
     seen_paths: set = set()
@@ -218,7 +219,7 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
         ))
 
     if violations:
-        raise ManifestError(violations)
+        raise ManifestError(violations, path)
     entries.sort(key=lambda e: e.path)
     return CorpusManifest(schema_version=schema_version,
                           entries=tuple(entries),

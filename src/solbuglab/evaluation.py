@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import CorpusManifest, EntryKind
-from .detectors import DETECTABLE_BUG_IDS, detect_all
-from .parser import parse_file
+from .detectors import DETECTABLE_BUG_IDS
+from .runner import scan_files
 from .taxonomy import catalog, catalog_ids
 
 
@@ -219,10 +219,11 @@ def self_report(manifest: CorpusManifest) -> ToolReport:
     """Run the built-in detectors over every corpus file and package the
     outcome as a tool report."""
     findings = set()
-    for entry in manifest.entries:
-        model = parse_file(manifest.resolve(entry))
-        for finding in detect_all(model):
-            findings.add((entry.path, finding.bug_id))
+    paths = [manifest.resolve(entry) for entry in manifest.entries]
+    for entry, (error, found) in zip(manifest.entries, scan_files(paths)):
+        if error is not None:
+            raise error
+        findings.update((entry.path, finding.bug_id) for finding in found)
     return ToolReport(tool_name="self",
                       claims=frozenset(DETECTABLE_BUG_IDS),
                       findings=frozenset(findings))
@@ -278,8 +279,8 @@ def load_report(path: str) -> ToolReport:
         if mapped:
             findings.add((item["file"], mapped))
     if problems:
-        raise ReportError("tool report has %d problem(s):\n  %s"
-                          % (len(problems), "\n  ".join(problems)))
+        raise ReportError("%s: tool report has %d problem(s):\n  %s"
+                          % (path, len(problems), "\n  ".join(problems)))
     return ToolReport(tool_name=tool_name,
                       claims=frozenset(claims),
                       findings=frozenset(findings))

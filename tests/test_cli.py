@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from solbuglab import cli, parser
+from solbuglab import cli, parser, runner
 from solbuglab.corpus import default_manifest_path
 
 
@@ -78,6 +78,23 @@ def test_scan_rules_subset_and_unknown(capsys, contracts):
     code, _, err = run_cli(capsys, "scan", "--rules", "A-a-W,BOGUS", target)
     assert code == 2
     assert "BOGUS" in err
+
+
+@pytest.mark.parametrize("rules, message", [("BOGUS", "no detector for: BOGUS"),
+                                            ("A-a-W,BOGUS", "no detector for: BOGUS"),
+                                            (",", "--rules names no rule"),
+                                            (" , ", "--rules names no rule")])
+def test_scan_bad_rules_rejected_before_any_file(capsys, monkeypatch, tmp_path,
+                                                 rules, message):
+    def no_parse(path):
+        raise AssertionError("read %s" % path)
+
+    monkeypatch.setattr(runner, "parse_file", no_parse)
+    (tmp_path / "a.sol").write_text("contract A {}\n", encoding="utf-8")
+    for target in (tmp_path, tmp_path / "empty"):
+        target.mkdir(exist_ok=True)
+        code, out, err = run_cli(capsys, "scan", "--rules", rules, str(target))
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_scan_superscript_digit_file(capsys, tmp_path):
@@ -184,6 +201,29 @@ def test_bench_input_that_is_not_an_object(capsys, tmp_path, flag, what):
     assert "%s: a %s must be a JSON object, not list" % (path, what) in err
 
 
+@pytest.mark.parametrize("command, body, says", [
+    (["bench", "--tool"], '{"tool_name": }', "Expecting value: line 1 column 15"),
+    (["bench", "--tool"], '{"tool_name": "ext", "claims": ["WHAT"]}',
+     "tool report has 1 problem(s)"),
+    (["bench", "--corpus"], "{,}", "Expecting property name"),
+    (["bench", "--corpus"], '{"schema_version": "9", "entries": []}',
+     "manifest has 1 violation(s)"),
+    (["merge"], "[", "Expecting value"),
+    (["watch", "--once", "--config"], "{", "Expecting property name"),
+    (["watch", "--once", "--config"], '{"interval_days": "soon"}',
+     "watch config has 1 problem(s)"),
+], ids=["tool-json", "tool-problems", "corpus-json", "corpus-violations",
+        "merge-json", "watch-config-json", "watch-config-problems"])
+def test_input_errors_name_the_file_once(capsys, tmp_path, command, body, says):
+    path = tmp_path / "input.json"
+    path.write_text(body, encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s: %s" % (path, says))
+    assert err.count(str(path)) == 1
+
+
 def test_catalog_overview(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
@@ -287,6 +327,27 @@ def test_watch_bad_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "watch", "--config", str(config), "--once")
     assert code == 2
     assert "interval_days" in err
+
+
+@pytest.mark.parametrize("state", [
+    "{not json", "[]", '{"cursor": null, "projects": [{"last_update": "t"}]}',
+    '{"cursor": 7}', '{"projects": {}}',
+], ids=["invalid-json", "not-an-object", "no-project-id", "bad-cursor", "bad-projects"])
+def test_watch_refuses_corrupt_state(capsys, tmp_path, state):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(state, encoding="utf-8")
+    before = state_path.read_bytes()
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"k": []}), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "state_path": str(state_path)}),
+                      encoding="utf-8")
+    code, _, err = run_cli(capsys, "watch", "--config", str(config),
+                           "--replay", str(replay), "--once")
+    assert code == 2
+    assert err.startswith("error: %s: watch state" % state_path)
+    assert state_path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "replay.json", "state.json"]
 
 
 def test_default_corpus_is_bundled():
