@@ -1,0 +1,69 @@
+"""Byte-for-byte CLI output on the bundled corpus and catalog.
+
+Each case runs the CLI in-process from the corpus directory, so scanned
+paths are relative, and compares stdout with ``tests/golden/<case>.out``.
+Every case exits 0 with nothing on stderr. After an intended output change,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from solbuglab import cli
+from solbuglab.corpus import default_manifest_path
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    "scan_json": ["scan", "--format", "json", "contracts"],
+    "scan_text": ["scan", "contracts"],
+    "bench_json": ["bench", "--split-crafted", "--format", "json"],
+    "bench_text": ["bench", "--split-crafted"],
+    "catalog_json": ["catalog", "--format", "json"],
+    "catalog_text": ["catalog"],
+    "catalog_list_json": ["catalog", "--list", "--format", "json"],
+    "catalog_list_text": ["catalog", "--list"],
+    "catalog_kind_json": ["catalog", "--kind", "A-a-W", "--format", "json"],
+    "catalog_kind_text": ["catalog", "--kind", "A-a-W"],
+    "catalog_category_json": ["catalog", "--category", "A", "--format", "json"],
+    "catalog_category_text": ["catalog", "--category", "A"],
+}
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one CLI run from the corpus directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(default_manifest_path()))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case):
+    code, out, err = _run(CASES[case])
+    with open(os.path.join(GOLDEN_DIR, case + ".out"), "r", encoding="utf-8",
+              newline="") as handle:
+        expected = handle.read()
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name, argv in CASES.items():
+        code, out, err = _run(argv)
+        if (code, err) != (0, ""):
+            sys.exit("%s: exit %d, stderr %r" % (name, code, err))
+        with open(os.path.join(GOLDEN_DIR, name + ".out"), "w", encoding="utf-8",
+                  newline="") as handle:
+            handle.write(out)
