@@ -10,19 +10,22 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from . import corpus, evaluation, runner, taxonomy
+from . import runner, taxonomy
 from .detectors import DETECTABLE_BUG_IDS, Finding
 from .taxonomy import Severity
 
-_SEVERITY_RANK = {Severity.LOW: 0, Severity.MIDDLE: 1,
-                  Severity.HIGH: 2, Severity.CRITICAL: 3}
+# Severity lists the grades worst first; a higher rank is more severe.
+_SEVERITY_RANK = {severity: rank for rank, severity in enumerate(reversed(Severity))}
 
 
 def _collect_sol_files(paths: Sequence[str], errors: List[str]) -> List[str]:
+    def unlisted(exc: OSError) -> None:
+        errors.append("%s: cannot list directory: %s" % (exc.filename, exc.strerror))
+
     files: List[str] = []
     for path in paths:
         if os.path.isdir(path):
-            for root, _, names in os.walk(path):
+            for root, _, names in os.walk(path, onerror=unlisted):
                 files.extend(os.path.join(root, name)
                              for name in names if name.endswith(".sol"))
         elif os.path.isfile(path):
@@ -93,6 +96,8 @@ def _input_error(path: str, exc: Exception) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import corpus, evaluation  # only bench scores against a corpus
+
     manifest_path = args.corpus or corpus.default_manifest_path()
     try:
         manifest = corpus.load_manifest(manifest_path)
@@ -142,7 +147,7 @@ def _kind_doc(kind: taxonomy.BugKind) -> dict:
         "severity": kind.severity.value,
         "effects": sorted([c.value, m.value] for c, m in kind.effects),
         "affected_versions": kind.affected_versions.describe(),
-        "has_detector": kind.has_detector,
+        "has_detector": kind.id in DETECTABLE_BUG_IDS,
         "criteria": kind.criteria_text,
         "name_source": kind.name_source,
     }
@@ -150,7 +155,7 @@ def _kind_doc(kind: taxonomy.BugKind) -> dict:
 
 def _print_kind_lines(kinds) -> None:
     for kind in kinds:
-        marker = " [detector]" if kind.has_detector else ""
+        marker = " [detector]" if kind.id in DETECTABLE_BUG_IDS else ""
         print("%-8s %-8s %s%s" % (kind.id, kind.severity.value,
                                   kind.display_name, marker))
 
@@ -171,7 +176,7 @@ def _cmd_catalog(args) -> int:
             print("severity:  %s" % kind.severity.value)
             print("effects:   %s" % _effects_text(kind))
             print("versions:  %s" % kind.affected_versions.describe())
-            print("detector:  %s" % ("yes" if kind.has_detector else "no"))
+            print("detector:  %s" % ("yes" if kind.id in DETECTABLE_BUG_IDS else "no"))
             print("name:      %s" % kind.name_source)
             print("criteria:  %s" % kind.criteria_text)
         return 0
@@ -268,7 +273,12 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    from . import collector  # imports requests, which no other command needs
+    try:
+        from . import collector  # imports requests, which no other command needs
+    except ImportError:
+        print("error: watch needs the requests package; install solbuglab[watch]",
+              file=sys.stderr)
+        return 2
 
     if args.config:
         try:

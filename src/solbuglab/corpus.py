@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .taxonomy import catalog_ids
 from .versions import PragmaConstraint, VersionSyntaxError, parse_constraint

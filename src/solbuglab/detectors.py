@@ -40,7 +40,6 @@ class Finding:
     function: str
     span: Span
     message: str
-    evidence: Tuple[Span, ...] = ()
 
     def sort_key(self) -> Tuple[str, int, str]:
         return (self.file, self.span[0], self.bug_id)
@@ -348,7 +347,6 @@ def detect_reentrancy(model: SourceModel) -> List[Finding]:
                 ]
                 if not late:
                     continue
-                write_span = _anchor(late[0])
                 findings.append(
                     Finding(
                         bug_id="D-a-R",
@@ -361,7 +359,6 @@ def detect_reentrancy(model: SourceModel) -> List[Finding]:
                             "all gas and no payload before "
                             f"'{_snippet(late[0].assign.lhs)}' is updated; the callee can re-enter"
                         ),
-                        evidence=(call_span, write_span),
                     )
                 )
     return findings
@@ -391,26 +388,23 @@ def detect_short_address(model: SourceModel) -> List[Finding]:
                 continue
             if any("msg.data.length" in _nospace(s.text) for s in fn.body):
                 continue
-            evidence: Optional[Span] = None
-            hit_param = ""
+            hit_param = ""  # addr_params are named, so "" means no hit
             for s in fn.body:
                 if s.assign is not None:
                     flat = _nospace(s.assign.lhs)
                     for p in addr_params:
                         if f"[{p}]" in flat:
-                            evidence = _anchor(s)
                             hit_param = p
                             break
-                if evidence is None and s.call is not None:
+                if not hit_param and s.call is not None:
                     moves_value = s.call.member in ("send", "transfer") or (
                         s.call.member == "call" and s.call.carries_value
                     )
                     if moves_value and _nospace(s.call.callee) in addr_params:
-                        evidence = _anchor(s)
                         hit_param = _nospace(s.call.callee)
-                if evidence is not None:
+                if hit_param:
                     break
-            if evidence is None:
+            if not hit_param:
                 continue
             findings.append(
                 Finding(
@@ -424,7 +418,6 @@ def detect_short_address(model: SourceModel) -> List[Finding]:
                         f"'{hit_param}' and amount without checking msg.data.length, "
                         "so truncated calldata shifts the amount"
                     ),
-                    evidence=(evidence,),
                 )
             )
     return findings
@@ -494,7 +487,6 @@ def detect_wrong_signature_guard(model: SourceModel) -> List[Finding]:
                         "no zero-address rejection; a bad signature recovers 0x0 and "
                         "matches a zero input"
                     ),
-                    evidence=(_anchor(rec_stmts[0]),),
                 )
             )
     return findings
@@ -545,7 +537,6 @@ def detect_approve_race(model: SourceModel) -> List[Finding]:
                             "directly; a spender racing the change can use both the "
                             "old and the new allowance"
                         ),
-                        evidence=(_anchor(s),),
                     )
                 )
     return findings

@@ -7,7 +7,7 @@ end to end; they are reported as null/n-a, never coerced to 0 or 1.
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import CorpusManifest, EntryKind
 from .detectors import DETECTABLE_BUG_IDS
@@ -48,22 +48,18 @@ class ReportError(ValueError):
     """An external tool report failed validation."""
 
 
-def coverage(claims: Iterable[str], warnings: Optional[List[str]] = None) -> float:
+def coverage(claims: Iterable[str]) -> float:
     """Share of the catalog the claims cover. Ids outside the catalog do not
-    count and are reported through warnings when a list is given."""
-    claimed = set(claims)
-    known = claimed & catalog_ids()
-    unknown = sorted(claimed - known)
-    if unknown and warnings is not None:
-        warnings.append("claims outside the catalog ignored: %s" % ", ".join(unknown))
-    return len(known) / len(catalog())
+    count."""
+    return len(set(claims) & catalog_ids()) / len(catalog())
 
 
-def match(tool: ToolReport, manifest: CorpusManifest
-          ) -> Tuple[Dict[str, ConfusionCounts], List[str]]:
-    """Per-kind confusion counts over the manifest entries in the tool's
-    scope. Findings on files the manifest does not list, or for kinds the
-    tool does not claim, are excluded with a warning."""
+def _score(tool: ToolReport, manifest: CorpusManifest, split_crafted: bool
+           ) -> Tuple[Dict[str, Dict[str, ConfusionCounts]], List[str]]:
+    """Per-segment, per-kind confusion counts over the manifest entries in
+    the tool's scope, with the claims and findings checked once. The
+    segments are "all" and, with split_crafted, "non-crafted" and
+    "crafted"."""
     warnings: List[str] = []
     claims = tool.claims & catalog_ids()
     unknown_claims = sorted(tool.claims - claims)
@@ -82,21 +78,40 @@ def match(tool: ToolReport, manifest: CorpusManifest
         else:
             usable.setdefault(file_path, set()).add(bug_id)
 
-    counts = {bug_id: ConfusionCounts() for bug_id in sorted(claims)}
+    names = ("all", "non-crafted", "crafted") if split_crafted else ("all",)
+    counts = {name: {bug_id: ConfusionCounts() for bug_id in sorted(claims)}
+              for name in names}
     for entry in manifest.entries:
         if not (entry.labels | entry.targets) & claims:
             continue
+        segments = [counts["all"]]
+        if split_crafted:
+            crafted = entry.kind is EntryKind.CRAFTED
+            segments.append(counts["crafted" if crafted else "non-crafted"])
         reported = usable.get(entry.path, set())
-        for bug_id in sorted(claims):
+        for bug_id in claims:
             expected = bug_id in entry.labels
             found = bug_id in reported
             if expected and found:
-                counts[bug_id] += ConfusionCounts(tp=1)
+                outcome = ConfusionCounts(tp=1)
             elif expected:
-                counts[bug_id] += ConfusionCounts(fn=1)
+                outcome = ConfusionCounts(fn=1)
             elif found:
-                counts[bug_id] += ConfusionCounts(fp=1)
+                outcome = ConfusionCounts(fp=1)
+            else:
+                continue
+            for segment in segments:
+                segment[bug_id] += outcome
     return counts, warnings
+
+
+def match(tool: ToolReport, manifest: CorpusManifest
+          ) -> Tuple[Dict[str, ConfusionCounts], List[str]]:
+    """Per-kind confusion counts over the manifest entries in the tool's
+    scope. Findings on files the manifest does not list, or for kinds the
+    tool does not claim, are excluded with a warning."""
+    counts, warnings = _score(tool, manifest, split_crafted=False)
+    return counts["all"], warnings
 
 
 def _macro(values: Sequence[Optional[float]]) -> Optional[float]:
@@ -180,39 +195,20 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def _segment(name: str, tool: ToolReport, manifest: CorpusManifest,
-             entries) -> SegmentMetrics:
-    sub = CorpusManifest(schema_version=manifest.schema_version,
-                         entries=tuple(entries), base_dir=manifest.base_dir)
-    counts, _ = match(tool, sub)
-    micro = ConfusionCounts()
-    for c in counts.values():
-        micro += c
-    return SegmentMetrics(name=name,
-                          per_kind=tuple(sorted(counts.items())),
-                          micro=micro)
-
-
 def evaluate(tool: ToolReport, manifest: CorpusManifest,
              split_crafted: bool = False) -> MetricsReport:
     """Score a tool report. With split_crafted, crafted entries are also
     scored apart from the rest, exposing detectors that only do well on
-    straight-line examples."""
-    warnings: List[str] = []
-    cov = coverage(tool.claims, warnings)
-    _, match_warnings = match(tool, manifest)
-    warnings.extend(w for w in match_warnings if w not in warnings)
-
-    segments = [_segment("all", tool, manifest, manifest.entries)]
-    if split_crafted:
-        plain = [e for e in manifest.entries if e.kind is not EntryKind.CRAFTED]
-        crafted = [e for e in manifest.entries if e.kind is EntryKind.CRAFTED]
-        segments.append(_segment("non-crafted", tool, manifest, plain))
-        segments.append(_segment("crafted", tool, manifest, crafted))
+    straight-line examples. Each warning is listed once."""
+    counts, warnings = _score(tool, manifest, split_crafted)
+    segments = tuple(SegmentMetrics(name=name,
+                                    per_kind=tuple(sorted(per_kind.items())),
+                                    micro=sum(per_kind.values(), ConfusionCounts()))
+                     for name, per_kind in counts.items())
     return MetricsReport(tool_name=tool.tool_name,
-                         coverage=cov,
-                         segments=tuple(segments),
-                         warnings=tuple(warnings))
+                         coverage=coverage(tool.claims),
+                         segments=segments,
+                         warnings=tuple(dict.fromkeys(warnings)))
 
 
 def self_report(manifest: CorpusManifest) -> ToolReport:
@@ -251,7 +247,18 @@ def load_report(path: str) -> ToolReport:
     if not isinstance(id_map, dict):
         problems.append("id_map must be an object")
         id_map = {}
+    unmappable = sorted(k for k, v in id_map.items() if not isinstance(v, str))
+    if unmappable:
+        problems.append("id_map: value for %s must be a string" % ", ".join(unmappable))
+        id_map = {k: v for k, v in id_map.items() if isinstance(v, str)}
     known = catalog_ids()
+
+    def listed(key: str) -> list:
+        value = raw.get(key, [])
+        if isinstance(value, list):
+            return value
+        problems.append("%s must be a list" % key)
+        return []
 
     def translate(bug_id, where: str) -> Optional[str]:
         if not isinstance(bug_id, str):
@@ -265,12 +272,12 @@ def load_report(path: str) -> ToolReport:
         return mapped
 
     claims = set()
-    for bug_id in raw.get("claims", []):
+    for bug_id in listed("claims"):
         mapped = translate(bug_id, "claims")
         if mapped:
             claims.add(mapped)
     findings = set()
-    for index, item in enumerate(raw.get("findings", [])):
+    for index, item in enumerate(listed("findings")):
         where = "finding %d" % index
         if not isinstance(item, dict) or not isinstance(item.get("file"), str):
             problems.append("%s: needs file and bug_id fields" % where)

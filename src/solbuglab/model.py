@@ -58,11 +58,6 @@ class StmtKind(Enum):
     OPAQUE = "opaque"
 
 
-class CallStyle(Enum):
-    LEGACY = "legacy"
-    MODERN = "modern"
-
-
 @dataclass(frozen=True)
 class CallDetail:
     """A member call that can move ether:  ``<callee>.<member>...(...)``."""
@@ -72,7 +67,6 @@ class CallDetail:
     carries_value: bool
     gas_specified: bool
     payload_empty: bool
-    style: CallStyle
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,6 @@ class FunctionDecl:
     name: str
     params: Tuple[VarDecl, ...]
     visibility: Visibility
-    payable: bool
     body: Tuple[Stmt, ...]
     span: Span
     body_span: Span
@@ -131,11 +124,9 @@ class FunctionDecl:
 class ContractDecl:
     name: str
     kind: str  # "contract" | "library" | "interface"
-    bases: Tuple[str, ...]
     state_vars: Tuple[VarDecl, ...]
     functions: Tuple[FunctionDecl, ...]
     span: Span
-    state_var_names: frozenset = frozenset()  # includes same-file inherited
 
 
 @dataclass(frozen=True)

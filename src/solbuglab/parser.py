@@ -22,7 +22,6 @@ from .lexer import Token, TokenKind, code_tokens, lex
 from .model import (
     AssignDetail,
     CallDetail,
-    CallStyle,
     ContractDecl,
     Diagnostic,
     FunctionDecl,
@@ -260,14 +259,13 @@ def _scan_call(toks: Sequence[Token]) -> Optional[CallDetail]:
             continue
         callee = _callee_before(toks, i)
         member = nxt.text
-        carries, gas, payload_empty, style = _call_suffix(toks, i + 2, member)
+        carries, gas, payload_empty = _call_suffix(toks, i + 2, member)
         return CallDetail(
             callee=callee,
             member=member,
             carries_value=carries,
             gas_specified=gas,
             payload_empty=payload_empty,
-            style=style,
         )
     return None
 
@@ -297,17 +295,15 @@ def _callee_before(toks: Sequence[Token], dot: int) -> str:
 
 def _call_suffix(
     toks: Sequence[Token], k: int, member: str
-) -> Tuple[bool, bool, bool, CallStyle]:
+) -> Tuple[bool, bool, bool]:
     if member in ("send", "transfer"):
         # fixed 2300-gas stipend: value moves, gas is effectively pinned
-        return True, True, True, CallStyle.LEGACY
+        return True, True, True
 
     carries = False
     gas = False
     payload_empty = True
-    style = CallStyle.LEGACY
     if k < len(toks) and toks[k].text == "{":
-        style = CallStyle.MODERN
         end = _find_matching(toks, k)
         depth = 0
         for j in range(k, min(end, len(toks))):
@@ -344,7 +340,7 @@ def _call_suffix(
             and args[0].kind == TokenKind.STRING
             and args[0].text in ('""', "''")
         )
-    return carries, gas, payload_empty, style
+    return carries, gas, payload_empty
 
 
 class _BodyParser:
@@ -506,14 +502,7 @@ class _BodyParser:
             self._emit(StmtKind.REQUIRE_OR_ASSERT, slice_, call=_scan_call(core))
             return
         if first == "delete":
-            lhs = core[1:]
-            assign = AssignDetail(
-                lhs=_join(lhs),
-                rhs="",
-                lhs_base=self._first_ident(lhs),
-                lhs_is_state_var=self._first_ident(lhs) in self.state_vars,
-            )
-            self._emit(StmtKind.ASSIGNMENT, slice_, assign=assign)
+            self._emit(StmtKind.ASSIGNMENT, slice_, assign=self._assign(core[1:]))
             return
         if first in ("emit", "revert", "throw", "break", "continue", "_"):
             self._emit(StmtKind.OPAQUE, slice_, call=_scan_call(core))
@@ -529,42 +518,21 @@ class _BodyParser:
 
         eq = _find_top_level(core, ("=",))
         if eq is not None:
-            lhs, rhs = core[:eq], core[eq + 1 :]
-            base = self._first_ident(lhs)
-            assign = AssignDetail(
-                lhs=_join(lhs),
-                rhs=_join(rhs),
-                lhs_base=base,
-                lhs_is_state_var=base in self.state_vars,
-            )
+            rhs = core[eq + 1 :]
             call = _scan_call(rhs)
             kind = StmtKind.EXTERNAL_CALL if call else StmtKind.ASSIGNMENT
-            self._emit(kind, slice_, assign=assign, call=call)
+            self._emit(kind, slice_, assign=self._assign(core[:eq], rhs), call=call)
             return
 
         comp = _find_top_level(core, tuple(_COMPOUND_OPS))
         if comp is not None:
-            lhs, rhs = core[:comp], core[comp + 1 :]
-            base = self._first_ident(lhs)
-            assign = AssignDetail(
-                lhs=_join(lhs),
-                rhs=_join(rhs),
-                lhs_base=base,
-                lhs_is_state_var=base in self.state_vars,
-            )
+            assign = self._assign(core[:comp], core[comp + 1 :])
             self._emit(StmtKind.COMPOUND_ASSIGNMENT, slice_, assign=assign)
             return
 
         bump = _find_top_level(core, ("++", "--"))
         if bump is not None:
-            lhs = core[:bump] + core[bump + 1 :]
-            base = self._first_ident(lhs)
-            assign = AssignDetail(
-                lhs=_join(lhs),
-                rhs="",
-                lhs_base=base,
-                lhs_is_state_var=base in self.state_vars,
-            )
+            assign = self._assign(core[:bump] + core[bump + 1 :])
             self._emit(StmtKind.COMPOUND_ASSIGNMENT, slice_, assign=assign)
             return
 
@@ -572,12 +540,11 @@ class _BodyParser:
         kind = StmtKind.EXTERNAL_CALL if call else StmtKind.OPAQUE
         self._emit(kind, slice_, call=call)
 
-    @staticmethod
-    def _first_ident(toks: Sequence[Token]) -> str:
-        for t in toks:
-            if t.kind == TokenKind.IDENTIFIER:
-                return t.text
-        return ""
+    def _assign(self, lhs: Sequence[Token], rhs: Sequence[Token] = ()) -> AssignDetail:
+        """The write to ``lhs``; its base is the first identifier in it."""
+        base = next((t.text for t in lhs if t.kind == TokenKind.IDENTIFIER), "")
+        return AssignDetail(lhs=_join(lhs), rhs=_join(rhs), lhs_base=base,
+                            lhs_is_state_var=base in self.state_vars)
 
     def _stretch(self) -> List[Stmt]:
         """Re-span statements so they exactly partition the body interior."""
@@ -624,7 +591,6 @@ class _FunctionRaw:
         self.name = ""
         self.params: Tuple[VarDecl, ...] = ()
         self.visibility = Visibility.DEFAULT
-        self.payable = False
         self.is_fallback = False
         self.has_body = True
         self.span: Span = (0, 0)
@@ -699,8 +665,7 @@ def _parse_function_header(
         if text in _VISIBILITY:
             fn.visibility = _VISIBILITY[text]
             k += 1
-        elif text == "payable":
-            fn.payable = True
+        elif text == "payable":  # stepped over alone, even when "(" follows
             k += 1
         elif k + 1 < end and sig[k + 1].text == "(":
             k = min(_find_matching(sig, k + 1, end), end - 1) + 1
@@ -895,7 +860,6 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
                     name=fn.name,
                     params=fn.params,
                     visibility=fn.visibility,
-                    payable=fn.payable,
                     body=tuple(stmts),
                     span=fn.span,
                     body_span=fn.body_span,
@@ -908,11 +872,9 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
             ContractDecl(
                 name=raw.name,
                 kind=raw.kind,
-                bases=tuple(raw.bases),
                 state_vars=tuple(raw.state_vars),
                 functions=tuple(functions),
                 span=raw.span,
-                state_var_names=frozenset(state_names),
             )
         )
 

@@ -7,11 +7,11 @@ each other.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .versions import ANY_VERSION, PragmaConstraint, parse_constraint
 
@@ -90,7 +90,6 @@ class BugKind:
     severity: Severity
     effects: FrozenSet[Effect]
     affected_versions: PragmaConstraint
-    has_detector: bool
     criteria_text: str
     name_source: str  # "documented" or "expanded"
 
@@ -148,7 +147,6 @@ def _catalog() -> Tuple[Tuple[Category, ...], Tuple[BugKind, ...]]:
             severity=severity,
             effects=effects,
             affected_versions=affected,
-            has_detector=bool(entry["has_detector"]),
             criteria_text=entry["criteria_text"],
             name_source=entry["name_source"],
         ))
@@ -203,7 +201,7 @@ def normalize_behavior(text: str) -> str:
 
 
 def _norm_consequence(consequence: Iterable[str]) -> FrozenSet[str]:
-    return frozenset(" ".join(c.lower().split()) for c in consequence)
+    return frozenset(normalize_behavior(c) for c in consequence)
 
 
 def merge_records(records: Iterable[BugRecord]) -> List[BugRecord]:

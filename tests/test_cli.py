@@ -1,5 +1,6 @@
 """Command-line behavior and exit codes, driven in-process."""
 
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from solbuglab import cli, parser, runner
 from solbuglab.corpus import default_manifest_path
+from solbuglab.detectors import DETECTABLE_BUG_IDS
 
 
 @pytest.fixture()
@@ -114,6 +116,37 @@ def test_scan_missing_path(capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_scan_reports_a_directory_it_cannot_list(capsys, monkeypatch, tmp_path,
+                                                  contracts, fmt):
+    with open(os.path.join(contracts, "reentrancy_buggy.sol"), "rb") as handle:
+        source = handle.read()
+    (tmp_path / "seen.sol").write_bytes(source)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "hidden.sol").write_bytes(source)
+    real_scandir = os.scandir
+
+    def scandir(path="."):
+        if os.fspath(path) == str(locked):
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    # root can read a chmod 000 directory, so the refusal is simulated
+    monkeypatch.setattr(os, "scandir", scandir)
+    code, out, err = run_cli(capsys, "scan", "--format", fmt, str(tmp_path))
+    assert code == 2
+    message = "%s: cannot list directory: Permission denied" % locked
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["errors"] == [message]
+        assert [f["file"] for f in doc["findings"]] == [str(tmp_path / "seen.sol")]
+        assert err == ""
+    else:
+        assert out.startswith(str(tmp_path / "seen.sol"))
+        assert err == "error: %s\n" % message
+
+
 def test_bench_self_text(capsys):
     code, out, _ = run_cli(capsys, "bench", "--split-crafted")
     assert code == 0
@@ -212,8 +245,18 @@ def test_bench_input_that_is_not_an_object(capsys, tmp_path, flag, what):
     (["watch", "--once", "--config"], "{", "Expecting property name"),
     (["watch", "--once", "--config"], '{"interval_days": "soon"}',
      "watch config has 1 problem(s)"),
+    (["bench", "--tool"], '{"tool_name": "ext", "claims": 5}',
+     "tool report has 1 problem(s):\n  claims must be a list\n"),
+    (["bench", "--tool"], '{"tool_name": "ext", "claims": "D-a-R"}',
+     "tool report has 1 problem(s):\n  claims must be a list\n"),
+    (["bench", "--tool"], '{"tool_name": "ext", "claims": ["D-a-R"], "findings": 7}',
+     "tool report has 1 problem(s):\n  findings must be a list\n"),
+    (["bench", "--tool"], '{"tool_name": "ext", "id_map": {"R": ["D-a-R"]}, "claims": ["R"]}',
+     "tool report has 2 problem(s):\n  id_map: value for R must be a string\n"),
 ], ids=["tool-json", "tool-problems", "corpus-json", "corpus-violations",
-        "merge-json", "watch-config-json", "watch-config-problems"])
+        "merge-json", "watch-config-json", "watch-config-problems",
+        "tool-claims-number", "tool-claims-string", "tool-findings-number",
+        "tool-id-map-list"])
 def test_input_errors_name_the_file_once(capsys, tmp_path, command, body, says):
     path = tmp_path / "input.json"
     path.write_text(body, encoding="utf-8")
@@ -236,6 +279,14 @@ def test_catalog_list(capsys):
     lines = [l for l in out.splitlines() if l.strip()]
     assert len(lines) == 49
     assert sum(1 for l in lines if "[detector]" in l) == 7
+
+
+def test_detector_flags_match_registry(capsys):
+    code, out, _ = run_cli(capsys, "catalog", "--list", "--format", "json")
+    assert code == 0
+    flags = {kind["id"]: kind["has_detector"] for kind in json.loads(out)}
+    assert len(flags) == 49
+    assert flags == {bug_id: bug_id in DETECTABLE_BUG_IDS for bug_id in flags}
 
 
 def test_catalog_category(capsys):
@@ -354,13 +405,28 @@ def test_default_corpus_is_bundled():
     assert os.path.basename(default_manifest_path()) == "manifest.json"
 
 
-def test_import_does_not_load_requests():
-    # only `watch` needs the HTTP client; other commands skip its import cost
+def run_python(probe):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = ("import sys, solbuglab.cli; "
-             "print('requests' in sys.modules, 'solbuglab.collector' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_import_does_not_load_requests():
+    # each command imports what only it needs, so the others skip that cost
+    probe = ("import sys, solbuglab.cli; print(*(name in sys.modules for name in "
+             "('requests', 'solbuglab.collector', 'solbuglab.corpus', "
+             "'solbuglab.evaluation')))")
+    done = run_python(probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False"] * 4
+
+
+def test_watch_without_requests_exits_with_a_hint():
+    probe = ("import sys; sys.modules['requests'] = None; "
+             "from solbuglab import cli; sys.exit(cli.main(['watch', '--once']))")
+    done = run_python(probe)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: watch needs the requests package; "
+                           "install solbuglab[watch]\n")

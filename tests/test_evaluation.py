@@ -90,10 +90,7 @@ def test_match_warns_and_excludes_junk_findings():
 def test_coverage_examples():
     cov = coverage({"A-a-IO", "D-a-R", "F-c-T"})
     assert cov == pytest.approx(3 / 49)
-    warnings = []
-    cov2 = coverage({"A-a-IO", "NOT-REAL"}, warnings)
-    assert cov2 == pytest.approx(1 / 49)
-    assert warnings and "NOT-REAL" in warnings[0]
+    assert coverage({"A-a-IO", "NOT-REAL"}) == pytest.approx(1 / 49)
     assert coverage(set()) == 0.0
 
 
@@ -109,6 +106,28 @@ def test_evaluate_self_on_shipped_corpus(manifest):
     assert crafted.micro.recall() == 0.0
     overall = report.segment("all")
     assert overall.micro == ConfusionCounts(tp=8, fp=1, fn=2)
+
+
+def test_segments_score_like_match_on_their_entries_alone():
+    m = manifest_of(
+        entry("a.sol", labels={"D-a-R"}),
+        entry("b.sol", labels=set(), targets={"D-a-R"}, kind=EntryKind.FIXED),
+        entry("c.sol", labels={"F-c-T"}, kind=EntryKind.CRAFTED),
+        entry("d.sol", labels=set(), targets={"D-a-R"}, kind=EntryKind.CRAFTED),
+    )
+    t = tool({"D-a-R", "F-c-T", "NOT-REAL"},
+             {("a.sol", "D-a-R"), ("d.sol", "D-a-R"),
+              ("ghost.sol", "D-a-R"), ("ghost.sol", "F-c-T")})
+    report = evaluate(t, m, split_crafted=True)
+    for name, picked in (("all", m.entries), ("non-crafted", m.entries[:2]),
+                         ("crafted", m.entries[2:])):
+        counts, _ = match(t, manifest_of(*picked))
+        assert report.segment(name).per_kind == tuple(sorted(counts.items()))
+        assert report.segment(name).micro == sum(counts.values(), ConfusionCounts())
+    ghost = "finding on file outside the corpus ignored: ghost.sol"
+    assert match(t, m)[1].count(ghost) == 2
+    # the report lists each warning once, in first-seen order
+    assert report.warnings == ("claims outside the catalog ignored: NOT-REAL", ghost)
 
 
 def test_disjoint_claims_yield_undefined_metrics():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from solbuglab.model import (
-    CallStyle,
     StmtKind,
     StorageLocation,
     TypeClass,
@@ -48,31 +47,43 @@ def test_multiple_pragmas_intersect():
     assert model.pragma.upper == (0, 5, 0)
 
 
+def writes_to_state(contract):
+    """lhs_base -> lhs_is_state_var for every write in the contract."""
+    return {s.assign.lhs_base: s.assign.lhs_is_state_var
+            for fn in contract.functions for s in fn.body if s.assign}
+
+
 def test_contract_kinds_and_bases():
     model = parse("""
         pragma solidity ^0.5.0;
         interface IToken { function total() external view returns (uint); }
         library Math {}
-        contract Coin is IToken, Owned { uint supply; }
+        contract Owned { address owner; }
+        contract Coin is IToken, Owned(1) { uint supply; function f() public { owner = msg.sender; } }
     """)
     by_name = {c.name: c for c in model.contracts}
     assert by_name["IToken"].kind == "interface"
     assert by_name["Math"].kind == "library"
     assert by_name["Coin"].kind == "contract"
-    assert by_name["Coin"].bases == ("IToken", "Owned")
+    # the second base, past its constructor arguments, still lends its state
+    assert writes_to_state(by_name["Coin"]) == {"owner": True}
 
 
 def test_state_vars_inherited_within_file():
     model = parse("""
         pragma solidity ^0.4.24;
-        contract Base { uint public total; }
-        contract Child is Base { mapping(address => uint) balance; }
+        contract Base {
+            uint public total;
+            function f() public { total = 1; balance = 2; }
+        }
+        contract Child is Base {
+            mapping(address => uint) balance;
+            function g() public { balance[msg.sender] = 1; total += 1; other = 3; }
+        }
     """)
-    child = model.contracts[1]
-    assert "balance" in child.state_var_names
-    assert "total" in child.state_var_names
-    base = model.contracts[0]
-    assert "balance" not in base.state_var_names
+    base, child = model.contracts
+    assert writes_to_state(child) == {"balance": True, "total": True, "other": False}
+    assert writes_to_state(base) == {"total": True, "balance": False}
 
 
 def test_function_shapes():
@@ -89,7 +100,6 @@ def test_function_shapes():
     fns = model.contracts[0].functions
     by_name = {f.name: f for f in fns}
     assert by_name["pub"].visibility is Visibility.PUBLIC
-    assert by_name["pub"].payable
     assert by_name["ext"].visibility is Visibility.EXTERNAL
     assert by_name["inner"].visibility is Visibility.INTERNAL
     assert by_name["bare"].visibility is Visibility.DEFAULT
@@ -179,7 +189,6 @@ def test_legacy_call_detail():
     assert len(calls) == 1
     call = calls[0]
     assert call.member == "call"
-    assert call.style is CallStyle.LEGACY
     assert call.carries_value
     assert not call.gas_specified
     assert call.payload_empty
@@ -192,7 +201,6 @@ def test_modern_call_detail():
     calls = [s.call for s in fn.body if s.call]
     assert len(calls) == 1
     call = calls[0]
-    assert call.style is CallStyle.MODERN
     assert call.carries_value
     assert not call.gas_specified
     assert call.payload_empty

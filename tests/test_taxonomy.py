@@ -52,11 +52,6 @@ def test_severity_spot_checks(bug_id, severity):
     assert taxonomy.kind_by_id(bug_id).severity is severity
 
 
-def test_detector_flags_match_registry():
-    flagged = {k.id for k in taxonomy.catalog() if k.has_detector}
-    assert flagged == set(DETECTABLE_BUG_IDS)
-
-
 def test_version_gates_in_catalog():
     gated = {k.id: k.affected_versions for k in taxonomy.catalog()
              if not k.affected_versions.is_unbounded()}
