@@ -130,20 +130,26 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
             violations.append("%s: not an object" % where)
             continue
         entry_path = item.get("path")
-        if isinstance(entry_path, str) and entry_path:
+        has_path = isinstance(entry_path, str) and entry_path != ""
+        if has_path:
             where = entry_path
             if entry_path in seen_paths:
                 violations.append("%s: duplicate path" % where)
             seen_paths.add(entry_path)
         else:
-            violations.append("%s: missing path" % where)
+            violations.append("%s: %s" % (where, "missing path" if entry_path is None
+                                          else "path must be a non-empty string"))
             entry_path = "<entry %d>" % index
 
-        try:
-            constraint = parse_constraint(item.get("solidity_versions", "*"))
-        except (VersionSyntaxError, TypeError) as exc:
-            violations.append("%s: bad solidity_versions: %s" % (where, exc))
-            constraint = PragmaConstraint()
+        versions = item.get("solidity_versions", "*")
+        constraint = PragmaConstraint()
+        if not isinstance(versions, str):
+            violations.append("%s: solidity_versions must be a string" % where)
+        else:
+            try:
+                constraint = parse_constraint(versions)
+            except VersionSyntaxError as exc:
+                violations.append("%s: bad solidity_versions: %s" % (where, exc))
 
         try:
             kind = EntryKind(item.get("kind"))
@@ -195,7 +201,7 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
             violations.append("%s: notes must be a string" % where)
             notes = ""
 
-        if require_files:
+        if require_files and has_path:
             full = os.path.join(base_dir, entry_path)
             if not os.path.isfile(full):
                 violations.append("%s: file not found under %s" % (where, base_dir))

@@ -3,7 +3,12 @@
 Every byte of the input lands in exactly one token, so the concatenation of
 token texts reproduces the source byte-for-byte.  Unterminated strings and
 comments, stray bytes, and non-ASCII input never raise; the surrounding text
-keeps lexing.  Spans are byte offsets into the UTF-8 encoding of the source.
+keeps lexing.  Spans are byte offsets into the UTF-8 encoding of the source,
+computed in the one pass that builds the tokens (a byte that the file's decoder
+escaped to a lone surrogate counts as that one byte).  Tokens of equal text
+from one ``lex`` call share one ``str``, and each token's ``start`` is the
+``end`` of the token before it, so a large file holds each distinct text
+once.
 
 Multi-character operators are folded into single tokens (``==``, ``+=``,
 ``>>=``...) but ``=+`` and ``=-`` deliberately are not: an assignment glyph
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 
 class TokenKind(Enum):
@@ -65,20 +70,24 @@ _SIZED_TYPE_RE = re.compile(r"^(?:u?int\d+|bytes\d+|u?fixed\d+x\d+)$")
 # line break included); unterminated, it stops before the line break.  A
 # digit that ``\d`` does not accept (``²``) is a one-character punctuation
 # token.  Operators are longest match first; ``=+`` and ``=-`` are absent.
-_TOKEN_RE = re.compile(
-    r"""
-     ([ \t\r\n\f\v]+)
-    |(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))
-    |("[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?)
-    |(0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)*(?:[eE][+-]?\d+)?)
-    |([A-Za-z_$][A-Za-z0-9_$]*)
-    |(>>=|<<=|\*\*=
+_ALTERNATIVES = (
+    r"[ \t\r\n\f\v]+",
+    r"//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)",
+    r""""[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?""",
+    r"0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)*(?:[eE][+-]?\d+)?",
+    r"[A-Za-z_$][A-Za-z0-9_$]*",
+    r""">>=|<<=|\*\*=
       |==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\|=|&=|\^=|\+\+|--|\*\*|<<|>>|=>|->|:=
-      |[\s\S])
-    """,
-    re.VERBOSE,
+      |[\s\S]""",
 )
-# Token kind by the index of the group that matched; words are classified.
+# Splits the source into token texts: ``findall`` with no group returns them.
+_SPLIT_RE = re.compile("|".join("(?:%s)" % a for a in _ALTERNATIVES), re.VERBOSE)
+# Names the class of one token text by the index of the group that matches.
+# Matched alone, a text takes the group it took in place: with no lookahead
+# and no anchor but the comment's ``\Z``, an alternative that failed in place
+# fails on the text alone too, and ``/*`` starts a comment either way.
+_TOKEN_RE = re.compile("|".join("(%s)" % a for a in _ALTERNATIVES), re.VERBOSE)
+# Token kind by that group index; words are classified.
 _GROUP_KINDS = (
     None, TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.STRING,
     TokenKind.NUMBER, None, TokenKind.PUNCTUATION,
@@ -91,24 +100,6 @@ def _classify_word(word: str) -> TokenKind:
     return TokenKind.IDENTIFIER
 
 
-def lex(source: str) -> List[Token]:
-    new = tuple.__new__  # skips NamedTuple's Python-level __new__
-    words: Dict[str, TokenKind] = {}
-    tokens: List[Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(source):
-        text = m.group()
-        kind = _GROUP_KINDS[m.lastindex]
-        if kind is None:
-            kind = words.get(text)
-            if kind is None:
-                kind = words[text] = _classify_word(text)
-        append(new(Token, (kind, text, m.start(), m.end())))
-    if source.isascii():
-        return tokens
-    return _rebase_to_bytes(tokens)
-
-
 def _byte_len(text: str) -> int:
     try:
         return len(text.encode("utf-8", "surrogateescape"))
@@ -118,20 +109,28 @@ def _byte_len(text: str) -> int:
                    else len(c.encode("utf-8", "surrogatepass")) for c in text)
 
 
-def _rebase_to_bytes(tokens: List[Token]) -> List[Token]:
-    """Convert char-indexed spans to byte offsets for non-ASCII input."""
+def lex(source: str) -> List[Token]:
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__
+    # text -> (kind, the one str every token of that text holds, byte length)
+    atoms: Dict[str, Tuple[TokenKind, str, int]] = {}
+    tokens: List[Token] = []
+    append = tokens.append
+    get = atoms.get
+    start = 0
+    for text in _SPLIT_RE.findall(source):
+        atom = get(text)
+        if atom is None:
+            kind = _GROUP_KINDS[_TOKEN_RE.match(text).lastindex] or _classify_word(text)
+            size = len(text) if text.isascii() else _byte_len(text)
+            atom = atoms[text] = (kind, text, size)
+        kind, text, size = atom
+        end = start + size
+        append(new(Token, (kind, text, start, end)))
+        start = end
+    return tokens
 
-    new = tuple.__new__
-    out: List[Token] = []
-    pos = 0
-    for kind, text, _, _ in tokens:
-        end = pos + (len(text) if text.isascii() else _byte_len(text))
-        out.append(new(Token, (kind, text, pos, end)))
-        pos = end
-    return out
 
-
-def code_tokens(tokens: List[Token]) -> List[Token]:
+def code_tokens(tokens: Sequence[Token]) -> List[Token]:
     """Tokens with whitespace and comments dropped."""
 
     return [t for t in tokens if t.kind not in _TRIVIA]

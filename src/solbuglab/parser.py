@@ -788,7 +788,7 @@ def _parse_contract(
 def parse(source: str, file_path: str = "<string>") -> SourceModel:
     """Parse Solidity source into a structural model.  Never raises."""
 
-    tokens = lex(source)
+    tokens = tuple(lex(source))  # the lexer's list is freed here, not at return
     sig = code_tokens(tokens)
     diagnostics: List[Diagnostic] = []
     structs, contract_names = _collect_global_names(sig)
@@ -883,7 +883,7 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
         pragma=pragma,
         contracts=tuple(contracts),
         diagnostics=tuple(diagnostics),
-        tokens=tuple(tokens),
+        tokens=tokens,
     )
 
 

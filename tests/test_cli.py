@@ -267,6 +267,25 @@ def test_input_errors_name_the_file_once(capsys, tmp_path, command, body, says):
     assert err.count(str(path)) == 1
 
 
+@pytest.mark.parametrize("fields, says", [
+    ({"path": "a.sol", "solidity_versions": 5}, "a.sol: solidity_versions must be a string"),
+    ({"path": "a.sol", "solidity_versions": ["^0.4.24"]},
+     "a.sol: solidity_versions must be a string"),
+    ({"path": 5}, "entry 0: path must be a non-empty string"),
+    ({"path": ""}, "entry 0: path must be a non-empty string"),
+    ({}, "entry 0: missing path"),
+], ids=["versions-number", "versions-list", "path-number", "path-empty", "path-missing"])
+def test_bench_manifest_entry_of_wrong_type(capsys, tmp_path, fields, says):
+    (tmp_path / "a.sol").write_text("pragma solidity ^0.4.24;\n", encoding="utf-8")
+    entry = dict({"kind": "buggy", "origin": "handwritten", "labels": ["D-a-R"]}, **fields)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema_version": "1", "entries": [entry]}),
+                        encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--corpus", str(manifest))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: manifest has 1 violation(s):\n  %s\n" % (manifest, says)
+
+
 def test_catalog_overview(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0

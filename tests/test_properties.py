@@ -1,12 +1,13 @@
 """Front-end contract on arbitrary input, checked with hypothesis: lexing
 never raises and is lossless with contiguous byte spans; parsing never
 raises, is deterministic, and its statement spans partition each body.
-The guard index gives the verdicts of the per-guard regex predicates it
-replaced, kept here unchanged as the oracle."""
+The lexer gives the tokens of the ``finditer`` lexer it replaced, and the
+guard index the verdicts of the per-guard regex predicates it replaced;
+both replaced versions are kept here unchanged as oracles."""
 
 import re
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Dict, Iterable, List
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -17,7 +18,7 @@ from solbuglab.detectors import (
     GuardIndex,
     _nospace,
 )
-from solbuglab.lexer import lex
+from solbuglab.lexer import Token, TokenKind, _classify_word, lex
 from solbuglab.model import Guard
 from solbuglab.parser import parse
 
@@ -87,6 +88,83 @@ def test_spans_index_the_file_bytes(data):
     for token in lex(source):
         piece = data[token.start:token.end]
         assert piece.decode("utf-8", "surrogateescape") == token.text
+
+
+# --- lexer against the finditer lexer it replaced ---------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+     ([ \t\r\n\f\v]+)
+    |(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))
+    |("[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?)
+    |(0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)*(?:[eE][+-]?\d+)?)
+    |([A-Za-z_$][A-Za-z0-9_$]*)
+    |(>>=|<<=|\*\*=
+      |==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\|=|&=|\^=|\+\+|--|\*\*|<<|>>|=>|->|:=
+      |[\s\S])
+    """,
+    re.VERBOSE,
+)
+# Token kind by the index of the group that matched; words are classified.
+_GROUP_KINDS = (
+    None, TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.STRING,
+    TokenKind.NUMBER, None, TokenKind.PUNCTUATION,
+)
+
+
+def _reference_lex(source: str) -> List[Token]:
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__
+    words: Dict[str, TokenKind] = {}
+    tokens: List[Token] = []
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
+        text = m.group()
+        kind = _GROUP_KINDS[m.lastindex]
+        if kind is None:
+            kind = words.get(text)
+            if kind is None:
+                kind = words[text] = _classify_word(text)
+        append(new(Token, (kind, text, m.start(), m.end())))
+    if source.isascii():
+        return tokens
+    return _rebase_to_bytes(tokens)
+
+
+def _reference_byte_len(text: str) -> int:
+    try:
+        return len(text.encode("utf-8", "surrogateescape"))
+    except UnicodeEncodeError:
+        # a lone surrogate no byte decodes to counts as its 3-byte form
+        return sum(1 if "\udc80" <= c <= "\udcff"
+                   else len(c.encode("utf-8", "surrogatepass")) for c in text)
+
+
+def _rebase_to_bytes(tokens: List[Token]) -> List[Token]:
+    """Convert char-indexed spans to byte offsets for non-ASCII input."""
+
+    new = tuple.__new__
+    out: List[Token] = []
+    pos = 0
+    for kind, text, _, _ in tokens:
+        end = pos + (len(text) if text.isascii() else _reference_byte_len(text))
+        out.append(new(Token, (kind, text, pos, end)))
+        pos = end
+    return out
+
+
+@_SETTINGS
+@given(_SOURCES)
+@example("x = '\u00e9\ud800\udcff /* \"open")
+@example("\u00b2 // \U0001f680\r\n\"a\\\n\tb")
+@example("uint256 x; // past the cached small ints\n" * 8)
+def test_lex_matches_the_finditer_lexer_and_shares_atoms(source):
+    tokens = lex(source)
+    assert tokens == _reference_lex(source)
+    texts = {}
+    for token in tokens:
+        assert texts.setdefault(token.text, token.text) is token.text
+    for left, right in zip(tokens, tokens[1:]):
+        assert left.end is right.start
 
 
 @_SETTINGS
