@@ -1,23 +1,33 @@
 """Lexical bug detectors over the structural source model.
 
-Each rule is a pure function from a SourceModel to findings.  Rules match
-surface patterns, not semantics: a guard that merely looks like a fix
-suppresses a finding, and a fix the rule cannot see lexically does not.
-That trade-off is the point; the labeled corpus measures it.
+Each rule is a pure function from a SourceModel to findings;
+``DETECTORS[bug_id].rule(model)`` runs one rule and ``detect_all`` runs the
+enabled ones behind the version gate.  Six rules decide one function at a
+time.  Each is written as a check, ``check(contract, fn)``, that yields
+``(span, message)`` pairs; one driver, ``_per_function``, walks the
+contracts and their functions in source order and files every pair as a
+Finding under that contract and function.  The wrong-operator rule (A-a-W)
+reads the whole token stream instead, so it also sees state-variable
+initializers, modifiers and code outside every contract.
+
+Rules match surface patterns, not semantics: a guard that merely looks like
+a fix suppresses a finding, and a fix the rule cannot see lexically does
+not.  That trade-off is the point; the labeled corpus measures it.
 
 Detectors of kinds the catalog ties to a compiler-version range only run
-when the file's pragma intersects that range; a missing or unparseable
-pragma counts as "could be any version" and enables them.
+when the file's pragma intersects that range; a missing, unparseable or
+contradictory pragma counts as "could be any version" and enables them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lexer import TokenKind
 from .model import (
+    ContractDecl,
     FunctionDecl,
     Guard,
     SourceModel,
@@ -26,8 +36,10 @@ from .model import (
     StmtKind,
     StorageLocation,
     TypeClass,
+    VarDecl,
     Visibility,
 )
+from .parser import _find_matching
 from .taxonomy import kind_by_id
 from .versions import version_applies
 
@@ -135,414 +147,14 @@ class GuardIndex:
                    for o in operands)
 
 
-_UINT_CAST_RE = re.compile(r"^uint\d*$")
-
-
-def detect_integer_sign(model: SourceModel) -> List[Finding]:
-    """Signed values converted to unsigned without a zero lower-bound check."""
-
-    findings: List[Finding] = []
-    for contract in model.contracts:
-        signed_state = {
-            v.name for v in contract.state_vars
-            if v.type_class is TypeClass.SIGNED_INT
-        }
-        for fn in contract.functions:
-            guards = GuardIndex(fn.guards, ORDER_VS_ZERO)
-            signed = set(signed_state)
-            signed.update(
-                p.name for p in fn.params if p.type_class is TypeClass.SIGNED_INT
-            )
-            signed.update(
-                s.decl.name for s in fn.body
-                if s.decl is not None and s.decl.type_class is TypeClass.SIGNED_INT
-            )
-            for s in fn.body:
-                findings.extend(
-                    _cast_findings(model, contract.name, fn, guards, s, signed)
-                )
-    return findings
-
-
-def _cast_findings(
-    model: SourceModel,
-    contract_name: str,
-    fn: FunctionDecl,
-    guards: GuardIndex,
-    stmt: Stmt,
-    signed: set,
-) -> List[Finding]:
-    out: List[Finding] = []
-    toks = stmt.tokens
-    for i, tok in enumerate(toks):
-        if tok.kind is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok.text):
-            continue
-        if i + 1 >= len(toks) or toks[i + 1].text != "(":
-            continue
-        depth = 0
-        close = None
-        for j in range(i + 1, len(toks)):
-            if toks[j].text == "(":
-                depth += 1
-            elif toks[j].text == ")":
-                depth -= 1
-                if depth == 0:
-                    close = j
-                    break
-        if close is None:
-            continue
-        inner = toks[i + 2 : close]
-        if not inner:
-            continue
-        inner_idents = [
-            t.text for t in inner if t.kind is TokenKind.IDENTIFIER
-        ]
-        from_pool = any(name in signed for name in inner_idents)
-        negative_literal = (
-            inner[0].text == "-"
-            and len(inner) >= 2
-            and inner[1].kind is TokenKind.NUMBER
-        )
-        if not from_pool and not negative_literal:
-            continue
-
-        cast_span = (tok.start, toks[close].end)
-        candidates = [" ".join(t.text for t in inner)]
-        if len(inner) == 1:
-            candidates.append(inner[0].text)
-        else:
-            candidates.extend(n for n in inner_idents if n in signed)
-        if guards.checked((_nospace(c) for c in candidates if c), cast_span[0]):
-            continue
-        out.append(
-            Finding(
-                bug_id="A-a-IS",
-                file=model.file_path,
-                contract=contract_name,
-                function=fn.name,
-                span=cast_span,
-                message=(
-                    f"{tok.text}({_snippet(candidates[0])}) converts a signed value "
-                    "to unsigned with no preceding check that it is non-negative"
-                ),
-            )
-        )
-    return out
-
-
-_SIGN_OPERANDS = frozenset(("this", "msg", "tx", "now", "true", "false"))
-_PREV_EXCLUDE = "=!<>+-*/%&|^~"
-
-
-def detect_wrong_operator(model: SourceModel) -> List[Finding]:
-    """``=+`` or ``=-`` written where ``+=``/``-=`` (or ``=``) was meant."""
-
-    findings: List[Finding] = []
-    toks = model.tokens
-    for i, tok in enumerate(toks):
-        if tok.kind is not TokenKind.PUNCTUATION or tok.text != "=":
-            continue
-        if i + 1 >= len(toks):
-            continue
-        sign = toks[i + 1]
-        if sign.kind is not TokenKind.PUNCTUATION or sign.text not in ("+", "-"):
-            continue
-        if sign.start != tok.end:
-            continue
-        if i > 0:
-            prev = toks[i - 1]
-            if (
-                prev.kind is TokenKind.PUNCTUATION
-                and prev.end == tok.start
-                and prev.text[-1] in _PREV_EXCLUDE
-            ):
-                continue
-        operand = None
-        for j in range(i + 2, len(toks)):
-            if toks[j].is_code():
-                operand = toks[j]
-                break
-        if operand is None:
-            continue
-        if not (
-            operand.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
-            or operand.text in _SIGN_OPERANDS
-        ):
-            continue
-        contract = model.contract_at(tok.start)
-        fn = model.function_at(tok.start)
-        findings.append(
-            Finding(
-                bug_id="A-a-W",
-                file=model.file_path,
-                contract=contract.name if contract else "<top>",
-                function=fn.name if fn else "",
-                span=(tok.start, sign.end),
-                message=(
-                    f"'={sign.text}' assigns a {'positive' if sign.text == '+' else 'negated'} "
-                    f"value instead of applying '{sign.text}='"
-                ),
-            )
-        )
-    return findings
-
-
-def detect_uninitialized_storage(model: SourceModel) -> List[Finding]:
-    """Composite/array locals without initializer default to storage (<=0.4.26)."""
-
-    findings: List[Finding] = []
-    for contract in model.contracts:
-        for fn in contract.functions:
-            for s in fn.body:
-                d = s.decl
-                if d is None or d.has_initializer:
-                    continue
-                if d.type_class not in (TypeClass.USER_COMPOSITE, TypeClass.ARRAY):
-                    continue
-                if d.storage_location not in (
-                    StorageLocation.STORAGE,
-                    StorageLocation.DEFAULT,
-                ):
-                    continue
-                findings.append(
-                    Finding(
-                        bug_id="A-c-US",
-                        file=model.file_path,
-                        contract=contract.name,
-                        function=fn.name,
-                        span=d.span,
-                        message=(
-                            f"local '{d.name}' ({d.type_text}) has no initializer and "
-                            "no data location, so it aliases storage slot 0"
-                        ),
-                    )
-                )
-    return findings
-
-
-def detect_reentrancy(model: SourceModel) -> List[Finding]:
-    """Unbounded-gas empty-payload value call followed by a state write."""
-
-    findings: List[Finding] = []
-    for contract in model.contracts:
-        for fn in contract.functions:
-            calls = [
-                s for s in fn.body
-                if s.call is not None
-                and s.call.member == "call"
-                and s.call.carries_value
-                and not s.call.gas_specified
-                and s.call.payload_empty
-            ]
-            if not calls:
-                continue
-            writes = [
-                s for s in fn.body
-                if s.assign is not None and s.assign.lhs_is_state_var
-            ]
-            for call_stmt in calls:
-                call_span = _anchor(call_stmt)
-                late = [
-                    w for w in writes if _anchor(w)[0] > call_span[0]
-                ]
-                if not late:
-                    continue
-                findings.append(
-                    Finding(
-                        bug_id="D-a-R",
-                        file=model.file_path,
-                        contract=contract.name,
-                        function=fn.name,
-                        span=call_span,
-                        message=(
-                            f"'{_snippet(call_stmt.call.callee)}' receives ether via .call with "
-                            "all gas and no payload before "
-                            f"'{_snippet(late[0].assign.lhs)}' is updated; the callee can re-enter"
-                        ),
-                    )
-                )
-    return findings
-
-
-def detect_short_address(model: SourceModel) -> List[Finding]:
-    """Externally callable transfer-shaped functions with no calldata length check."""
-
-    findings: List[Finding] = []
-    for contract in model.contracts:
-        for fn in contract.functions:
-            if not fn.has_body or fn.is_fallback or fn.name == "constructor":
-                continue
-            if fn.visibility not in (
-                Visibility.PUBLIC, Visibility.EXTERNAL, Visibility.DEFAULT,
-            ):
-                continue
-            addr_params = [
-                p.name for p in fn.params
-                if p.type_class is TypeClass.ADDRESS and p.name
-            ]
-            uint_params = [
-                p.name for p in fn.params
-                if p.type_class is TypeClass.UNSIGNED_INT and p.name
-            ]
-            if not addr_params or not uint_params:
-                continue
-            if any("msg.data.length" in _nospace(s.text) for s in fn.body):
-                continue
-            hit_param = ""  # addr_params are named, so "" means no hit
-            for s in fn.body:
-                if s.assign is not None:
-                    flat = _nospace(s.assign.lhs)
-                    for p in addr_params:
-                        if f"[{p}]" in flat:
-                            hit_param = p
-                            break
-                if not hit_param and s.call is not None:
-                    moves_value = s.call.member in ("send", "transfer") or (
-                        s.call.member == "call" and s.call.carries_value
-                    )
-                    if moves_value and _nospace(s.call.callee) in addr_params:
-                        hit_param = _nospace(s.call.callee)
-                if hit_param:
-                    break
-            if not hit_param:
-                continue
-            findings.append(
-                Finding(
-                    bug_id="E-a-SA",
-                    file=model.file_path,
-                    contract=contract.name,
-                    function=fn.name,
-                    span=fn.span,
-                    message=(
-                        f"'{fn.name}' moves value keyed by caller-supplied address "
-                        f"'{hit_param}' and amount without checking msg.data.length, "
-                        "so truncated calldata shifts the amount"
-                    ),
-                )
-            )
-    return findings
-
-
-_IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
-
-
-def detect_wrong_signature_guard(model: SourceModel) -> List[Finding]:
-    """ecrecover result compared for equality with no zero-address rejection.
-
-    On any malformed input ecrecover yields the zero address, so comparing the
-    result to a supplied address succeeds when both are zero.
-    """
-
-    findings: List[Finding] = []
-    for contract in model.contracts:
-        for fn in contract.functions:
-            rec_stmts = [
-                s for s in fn.body
-                if any(t.text == "ecrecover" for t in s.tokens)
-            ]
-            if not rec_stmts:
-                continue
-            result_vars: List[str] = []
-            for s in rec_stmts:
-                if s.decl is not None and s.decl.name:
-                    result_vars.append(s.decl.name)
-                elif s.assign is not None and "ecrecover" in s.assign.rhs:
-                    if _nospace(s.assign.lhs) == s.assign.lhs_base:
-                        result_vars.append(s.assign.lhs_base)
-
-            compare_stmt: Optional[Stmt] = None
-            comparands: List[str] = []
-            for s in fn.body:
-                flat = _nospace(s.text)
-                for v in result_vars:
-                    n = re.escape(v)
-                    for m in re.finditer(rf"(?<![\w$]){n}==({_IDENT})", flat):
-                        comparands.append(m.group(1))
-                        compare_stmt = compare_stmt or s
-                    for m in re.finditer(rf"({_IDENT})=={n}(?![\w$])", flat):
-                        comparands.append(m.group(1))
-                        compare_stmt = compare_stmt or s
-                if "ecrecover" in flat and "==" in flat:
-                    for m in re.finditer(rf"\)==({_IDENT})", flat):
-                        comparands.append(m.group(1))
-                        compare_stmt = compare_stmt or s
-                    for m in re.finditer(rf"({_IDENT})==ecrecover\(", flat):
-                        comparands.append(m.group(1))
-                        compare_stmt = compare_stmt or s
-            if compare_stmt is None:
-                continue
-            names = result_vars + comparands
-            guards = GuardIndex(fn.guards, ADDRESS_VS_ZERO)
-            if guards.checked(n for n in names if n):
-                continue
-            findings.append(
-                Finding(
-                    bug_id="E-a-SW",
-                    file=model.file_path,
-                    contract=contract.name,
-                    function=fn.name,
-                    span=_anchor(compare_stmt),
-                    message=(
-                        "ecrecover result is matched against a supplied address with "
-                        "no zero-address rejection; a bad signature recovers 0x0 and "
-                        "matches a zero input"
-                    ),
-                )
-            )
-    return findings
-
-
-_DOUBLE_INDEX_RE = re.compile(rf"^{_IDENT}\[[^\[\]]+\]\[[^\[\]]+\]$")
-
-
-def detect_approve_race(model: SourceModel) -> List[Finding]:
-    """approve() overwriting a live allowance without forcing it through zero."""
-
-    findings: List[Finding] = []
-    for contract in model.contracts:
-        for fn in contract.functions:
-            if fn.name != "approve":
-                continue
-            addr_params = [
-                p.name for p in fn.params if p.type_class is TypeClass.ADDRESS
-            ]
-            uint_params = [
-                p.name for p in fn.params
-                if p.type_class is TypeClass.UNSIGNED_INT and p.name
-            ]
-            if not addr_params or not uint_params:
-                continue
-            guards = GuardIndex(fn.guards, EQUALS_ZERO)
-            for s in fn.body:
-                if s.kind is not StmtKind.ASSIGNMENT or s.assign is None:
-                    continue
-                lhs = _nospace(s.assign.lhs)
-                rhs = _nospace(s.assign.rhs)
-                if not _DOUBLE_INDEX_RE.match(lhs):
-                    continue
-                value_param = next((u for u in uint_params if rhs == u), None)
-                if value_param is None:
-                    continue
-                if guards.checked((value_param, lhs)):
-                    continue
-                findings.append(
-                    Finding(
-                        bug_id="F-c-T",
-                        file=model.file_path,
-                        contract=contract.name,
-                        function=fn.name,
-                        span=_anchor(s),
-                        message=(
-                            f"approve writes '{value_param}' over the stored allowance "
-                            "directly; a spender racing the change can use both the "
-                            "old and the new allowance"
-                        ),
-                    )
-                )
-    return findings
+def _names(decls: Iterable[VarDecl], type_class: TypeClass) -> List[str]:
+    """Names of the named declarations of ``type_class``, in order."""
+    return [d.name for d in decls if d.type_class is type_class and d.name]
 
 
 Rule = Callable[[SourceModel], List[Finding]]
+Hits = Iterator[Tuple[Span, str]]  # (span, message) per finding of one function
+Check = Callable[[ContractDecl, FunctionDecl], Hits]
 
 
 @dataclass(frozen=True)
@@ -551,16 +163,241 @@ class DetectorEntry:
     rule: Rule = field(repr=False)
 
 
+def _per_function(bug_id: str, check: Check) -> DetectorEntry:
+    """The entry of a rule decided one function at a time: every
+    ``(span, message)`` that ``check(contract, fn)`` yields becomes a finding
+    filed under that contract and function, in source order."""
+
+    def rule(model: SourceModel) -> List[Finding]:
+        return [Finding(bug_id, model.file_path, contract.name, fn.name, span, message)
+                for contract in model.contracts for fn in contract.functions
+                for span, message in check(contract, fn)]
+
+    return DetectorEntry(bug_id, rule)
+
+
+_UINT_CAST_RE = re.compile(r"^uint\d*$")
+
+
+def _integer_sign(contract: ContractDecl, fn: FunctionDecl) -> Hits:
+    """Signed values converted to unsigned without a zero lower-bound check."""
+
+    guards = GuardIndex(fn.guards, ORDER_VS_ZERO)
+    signed: Optional[Set[str]] = None  # built at the first cast
+    for stmt in fn.body:
+        toks = stmt.tokens
+        for i, tok in enumerate(toks):
+            if (tok.kind is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok.text)
+                    or i + 1 >= len(toks) or toks[i + 1].text != "("):
+                continue
+            close = _find_matching(toks, i + 1)
+            inner = toks[i + 2 : close]
+            if close == len(toks) or not inner:
+                continue
+            if signed is None:
+                locals_ = (s.decl for s in fn.body if s.decl is not None)
+                signed = set(_names((*contract.state_vars, *fn.params, *locals_),
+                                    TypeClass.SIGNED_INT))
+            inner_idents = [t.text for t in inner if t.kind is TokenKind.IDENTIFIER]
+            negative_literal = (inner[0].text == "-" and len(inner) >= 2
+                                and inner[1].kind is TokenKind.NUMBER)
+            if not negative_literal and not any(n in signed for n in inner_idents):
+                continue
+            candidates = [" ".join(t.text for t in inner)]
+            if len(inner) == 1:
+                candidates.append(inner[0].text)
+            else:
+                candidates.extend(n for n in inner_idents if n in signed)
+            if guards.checked((_nospace(c) for c in candidates if c), tok.start):
+                continue
+            yield (tok.start, toks[close].end), (
+                f"{tok.text}({_snippet(candidates[0])}) converts a signed value "
+                "to unsigned with no preceding check that it is non-negative")
+
+
+_SIGN_OPERANDS = frozenset(("this", "msg", "tx", "now", "true", "false"))
+_PREV_EXCLUDE = "=!<>+-*/%&|^~"
+
+
+def _wrong_operator(bug_id: str) -> DetectorEntry:
+    """``=+`` or ``=-`` written where ``+=``/``-=`` (or ``=``) was meant.
+
+    A file-level rule: it reads the whole token stream, so it also flags
+    state-variable initializers, modifiers and code outside every contract
+    (filed under ``<top>``)."""
+
+    def rule(model: SourceModel) -> List[Finding]:
+        findings: List[Finding] = []
+        toks = model.tokens
+        for i, tok in enumerate(toks):
+            if tok.kind is not TokenKind.PUNCTUATION or tok.text != "=" or i + 1 >= len(toks):
+                continue
+            sign = toks[i + 1]
+            if (sign.kind is not TokenKind.PUNCTUATION or sign.text not in ("+", "-")
+                    or sign.start != tok.end):
+                continue
+            prev = toks[i - 1] if i else None
+            if (prev is not None and prev.kind is TokenKind.PUNCTUATION
+                    and prev.end == tok.start and prev.text[-1] in _PREV_EXCLUDE):
+                continue
+            operand = next((toks[j] for j in range(i + 2, len(toks)) if toks[j].is_code()),
+                           None)
+            if operand is None or not (
+                    operand.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
+                    or operand.text in _SIGN_OPERANDS):
+                continue
+            contract = model.contract_at(tok.start)
+            fn = model.function_at(tok.start)
+            findings.append(Finding(
+                bug_id, model.file_path, contract.name if contract else "<top>",
+                fn.name if fn else "", (tok.start, sign.end),
+                f"'={sign.text}' assigns a {'positive' if sign.text == '+' else 'negated'} "
+                f"value instead of applying '{sign.text}='"))
+        return findings
+
+    return DetectorEntry(bug_id, rule)
+
+
+def _uninitialized_storage(contract: ContractDecl, fn: FunctionDecl) -> Hits:
+    """Composite/array locals without initializer default to storage (<=0.4.26)."""
+
+    for s in fn.body:
+        d = s.decl
+        if (d is not None and not d.has_initializer
+                and d.type_class in (TypeClass.USER_COMPOSITE, TypeClass.ARRAY)
+                and d.storage_location in (StorageLocation.STORAGE, StorageLocation.DEFAULT)):
+            yield d.span, (f"local '{d.name}' ({d.type_text}) has no initializer and "
+                           "no data location, so it aliases storage slot 0")
+
+
+def _reentrancy(contract: ContractDecl, fn: FunctionDecl) -> Hits:
+    """Unbounded-gas empty-payload value call followed by a state write."""
+
+    calls = [s for s in fn.body
+             if s.call is not None and s.call.member == "call" and s.call.carries_value
+             and not s.call.gas_specified and s.call.payload_empty]
+    if not calls:
+        return
+    writes = [s for s in fn.body if s.assign is not None and s.assign.lhs_is_state_var]
+    for call_stmt in calls:
+        call_span = _anchor(call_stmt)
+        late = next((w for w in writes if _anchor(w)[0] > call_span[0]), None)
+        if late is not None:
+            yield call_span, (
+                f"'{_snippet(call_stmt.call.callee)}' receives ether via .call with "
+                "all gas and no payload before "
+                f"'{_snippet(late.assign.lhs)}' is updated; the callee can re-enter")
+
+
+def _short_address(contract: ContractDecl, fn: FunctionDecl) -> Hits:
+    """Externally callable transfer-shaped functions with no calldata length check."""
+
+    if (not fn.has_body or fn.is_fallback or fn.name == "constructor"
+            or fn.visibility not in (Visibility.PUBLIC, Visibility.EXTERNAL,
+                                     Visibility.DEFAULT)):
+        return
+    addr_params = _names(fn.params, TypeClass.ADDRESS)
+    if (not addr_params or not _names(fn.params, TypeClass.UNSIGNED_INT)
+            or any("msg.data.length" in _nospace(s.text) for s in fn.body)):
+        return
+    for s in fn.body:
+        hit = None
+        if s.assign is not None:
+            flat = _nospace(s.assign.lhs)
+            hit = next((p for p in addr_params if f"[{p}]" in flat), None)
+        if hit is None and s.call is not None and (
+                s.call.member in ("send", "transfer")
+                or (s.call.member == "call" and s.call.carries_value)):
+            callee = _nospace(s.call.callee)
+            hit = callee if callee in addr_params else None
+        if hit is not None:
+            yield fn.span, (
+                f"'{fn.name}' moves value keyed by caller-supplied address "
+                f"'{hit}' and amount without checking msg.data.length, "
+                "so truncated calldata shifts the amount")
+            return
+
+
+_IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
+
+
+def _wrong_signature_guard(contract: ContractDecl, fn: FunctionDecl) -> Hits:
+    """ecrecover result compared for equality with no zero-address rejection.
+
+    On any malformed input ecrecover yields the zero address, so comparing the
+    result to a supplied address succeeds when both are zero.
+    """
+
+    rec_stmts = [s for s in fn.body if any(t.text == "ecrecover" for t in s.tokens)]
+    if not rec_stmts:
+        return
+    result_vars: List[str] = []
+    for s in rec_stmts:
+        if s.decl is not None and s.decl.name:
+            result_vars.append(s.decl.name)
+        elif (s.assign is not None and "ecrecover" in s.assign.rhs
+              and _nospace(s.assign.lhs) == s.assign.lhs_base):
+            result_vars.append(s.assign.lhs_base)
+    var_patterns = [p for v in map(re.escape, result_vars)
+                    for p in (rf"(?<![\w$]){v}==({_IDENT})", rf"({_IDENT})=={v}(?![\w$])")]
+    compare_stmt: Optional[Stmt] = None
+    comparands: List[str] = []
+    for s in fn.body:
+        flat = _nospace(s.text)
+        patterns = var_patterns
+        if "ecrecover" in flat and "==" in flat:
+            patterns = var_patterns + [rf"\)==({_IDENT})", rf"({_IDENT})==ecrecover\("]
+        for pattern in patterns:
+            for m in re.finditer(pattern, flat):
+                comparands.append(m.group(1))
+                compare_stmt = compare_stmt or s
+    if compare_stmt is None:
+        return
+    guards = GuardIndex(fn.guards, ADDRESS_VS_ZERO)
+    if not guards.checked(n for n in result_vars + comparands if n):
+        yield _anchor(compare_stmt), (
+            "ecrecover result is matched against a supplied address with "
+            "no zero-address rejection; a bad signature recovers 0x0 and "
+            "matches a zero input")
+
+
+_DOUBLE_INDEX_RE = re.compile(rf"^{_IDENT}\[[^\[\]]+\]\[[^\[\]]+\]$")
+
+
+def _approve_race(contract: ContractDecl, fn: FunctionDecl) -> Hits:
+    """approve() overwriting a live allowance without forcing it through zero.
+
+    An unnamed ``address`` parameter counts: the spender need not be named
+    for the allowance write to race."""
+
+    if fn.name != "approve" or not any(p.type_class is TypeClass.ADDRESS for p in fn.params):
+        return
+    uint_params = _names(fn.params, TypeClass.UNSIGNED_INT)
+    if not uint_params:
+        return
+    guards = GuardIndex(fn.guards, EQUALS_ZERO)
+    for s in fn.body:
+        if s.kind is not StmtKind.ASSIGNMENT or s.assign is None:
+            continue
+        lhs, rhs = _nospace(s.assign.lhs), _nospace(s.assign.rhs)
+        if (_DOUBLE_INDEX_RE.match(lhs) and rhs in uint_params
+                and not guards.checked((rhs, lhs))):
+            yield _anchor(s), (
+                f"approve writes '{rhs}' over the stored allowance "
+                "directly; a spender racing the change can use both the "
+                "old and the new allowance")
+
+
 DETECTORS: Dict[str, DetectorEntry] = {
     entry.bug_id: entry
     for entry in (
-        DetectorEntry("A-a-IS", detect_integer_sign),
-        DetectorEntry("A-a-W", detect_wrong_operator),
-        DetectorEntry("A-c-US", detect_uninitialized_storage),
-        DetectorEntry("D-a-R", detect_reentrancy),
-        DetectorEntry("E-a-SA", detect_short_address),
-        DetectorEntry("E-a-SW", detect_wrong_signature_guard),
-        DetectorEntry("F-c-T", detect_approve_race),
+        _per_function("A-a-IS", _integer_sign),
+        _wrong_operator("A-a-W"),
+        _per_function("A-c-US", _uninitialized_storage),
+        _per_function("D-a-R", _reentrancy),
+        _per_function("E-a-SA", _short_address),
+        _per_function("E-a-SW", _wrong_signature_guard),
+        _per_function("F-c-T", _approve_race),
     )
 }
 

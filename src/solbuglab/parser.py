@@ -234,9 +234,15 @@ def _parse_var_decl(
     )
 
 
-def _find_top_level(toks: Sequence[Token], ops: Tuple[str, ...]) -> Optional[int]:
+def _find_top_level(
+    toks: Sequence[Token], ops: Tuple[str, ...], lo: int = 0, hi: Optional[int] = None
+) -> Optional[int]:
+    """Index of the first punctuation token in ``ops`` outside every bracket,
+    looking at ``toks[lo:hi]`` (a stray closer is ignored); None if none."""
+
     depth = 0
-    for i, t in enumerate(toks):
+    for i in range(lo, len(toks) if hi is None else hi):
+        t = toks[i]
         x = t.text
         if x in "([{":
             depth += 1
@@ -766,17 +772,9 @@ def _parse_contract(
         elif text in ("event", "error", "using"):
             j = min(_skip_to(sig, j, (";",)) + 1, close)
         else:
-            end = j
-            depth = 0
-            while end < close:
-                x = sig[end].text
-                if x in "([{":
-                    depth += 1
-                elif x in ")]}":
-                    depth = max(0, depth - 1)
-                elif x == ";" and depth == 0:
-                    break
-                end += 1
+            end = _find_top_level(sig, (";",), j, close)
+            if end is None:
+                end = close
             piece = sig[j:end]
             decl = _parse_var_decl(piece, structs, contracts, member=True)
             if decl is not None:
@@ -825,13 +823,12 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
         else:
             i += 1
 
-    if pragma is None:
+    # An unknown version could be any: every rule runs.
+    if pragma is None or pragma.is_empty():
+        diagnostics.append(Diagnostic(
+            "no solidity version pragma" if pragma is None
+            else "contradictory version pragmas match no compiler", (0, 0)))
         pragma = ANY_VERSION
-        diagnostics.append(Diagnostic("no solidity version pragma", (0, 0)))
-    elif pragma.is_empty():
-        diagnostics.append(
-            Diagnostic("contradictory version pragmas match no compiler", (0, 0))
-        )
 
     own_vars = {r.name: {v.name for v in r.state_vars} for r in raws}
     bases_of = {r.name: list(r.bases) for r in raws}

@@ -25,7 +25,9 @@ from typing import Optional, Tuple
 Version = Tuple[int, int, int]
 
 _VERSION_RE = re.compile(r"^(\d+)(?:\.(\d+))?(?:\.(\d+))?$")
-_CLAUSE_RE = re.compile(r"(\^|~|>=|<=|>|<|=)?\s*(\d+(?:\.\d+){0,2})")
+_CLAUSE = r"(?:(\^|~|>=|<=|>|<|=)\s*)?(\d+(?:\.\d+){0,2})(?![\d.])"
+_CLAUSE_RE = re.compile(_CLAUSE)
+_CLAUSES_RE = re.compile(rf"(?:{_CLAUSE}\s*)+")
 
 
 class VersionSyntaxError(ValueError):
@@ -135,21 +137,19 @@ def parse_constraint(text: str) -> PragmaConstraint:
     """Parse a constraint expression such as ``^0.4.24`` or ``>=0.4.22 <0.6.0``.
 
     Clauses are intersected.  ``*`` (or an empty string) means any version.
-    Raises VersionSyntaxError when no clause can be read.
+    Raises VersionSyntaxError unless the text is clauses and whitespace only.
     """
 
     stripped = text.strip()
     if stripped in ("", "*"):
         return PragmaConstraint(raw_text=stripped)
+    if not _CLAUSES_RE.fullmatch(stripped):
+        raise VersionSyntaxError(f"not a list of version clauses: {text!r}")
     result = ANY_VERSION
-    matched = False
     for m in _CLAUSE_RE.finditer(stripped):
-        matched = True
         op = m.group(1) or ""
         version = parse_version(m.group(2))
         result = result.intersect(constraint_from_clause(op, version))
-    if not matched:
-        raise VersionSyntaxError(f"no version clause in {text!r}")
     return PragmaConstraint(stripped, result.lower, result.upper)
 
 

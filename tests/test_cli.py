@@ -271,10 +271,15 @@ def test_input_errors_name_the_file_once(capsys, tmp_path, command, body, says):
     ({"path": "a.sol", "solidity_versions": 5}, "a.sol: solidity_versions must be a string"),
     ({"path": "a.sol", "solidity_versions": ["^0.4.24"]},
      "a.sol: solidity_versions must be a string"),
+    ({"path": "a.sol", "solidity_versions": "foo 1.2"},
+     "a.sol: bad solidity_versions: not a list of version clauses: 'foo 1.2'"),
+    ({"path": "a.sol", "solidity_versions": "0.4.24.1"},
+     "a.sol: bad solidity_versions: not a list of version clauses: '0.4.24.1'"),
     ({"path": 5}, "entry 0: path must be a non-empty string"),
     ({"path": ""}, "entry 0: path must be a non-empty string"),
     ({}, "entry 0: missing path"),
-], ids=["versions-number", "versions-list", "path-number", "path-empty", "path-missing"])
+], ids=["versions-number", "versions-list", "versions-not-clauses", "versions-four-parts",
+        "path-number", "path-empty", "path-missing"])
 def test_bench_manifest_entry_of_wrong_type(capsys, tmp_path, fields, says):
     (tmp_path / "a.sol").write_text("pragma solidity ^0.4.24;\n", encoding="utf-8")
     entry = dict({"kind": "buggy", "origin": "handwritten", "labels": ["D-a-R"]}, **fields)

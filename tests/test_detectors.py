@@ -1,15 +1,18 @@
 """Detector rules: one positive and one negative per rule, plus gating,
 ordering, and registry behavior."""
 
+import os
+
 import pytest
 
 from solbuglab.detectors import (
     DETECTABLE_BUG_IDS,
     DETECTORS,
+    Finding,
     UnknownRuleError,
     detect_all,
 )
-from solbuglab.parser import parse
+from solbuglab.parser import parse, parse_file
 
 from conftest import fixture_source
 
@@ -287,6 +290,27 @@ def test_version_gating_silences_legacy_rules():
     assert sorted(ids(unpinned)) == ["A-a-W", "A-c-US"]
 
 
+# Unions are not modelled, so ``||`` makes the pragma unreadable; either
+# way the version is unknown and every rule runs.
+@pytest.mark.parametrize("pragmas, diagnostics", [
+    ("pragma solidity ^0.4.24;\npragma solidity ^0.5.0;\n",
+     ["contradictory version pragmas match no compiler"]),
+    ("pragma solidity ^0.4.20 || ^0.5.0;\n",
+     ["unparseable version pragma: '^ 0.4.20 || ^ 0.5.0'", "no solidity version pragma"]),
+], ids=["two-directives", "union"])
+def test_unknown_version_runs_every_rule(pragmas, diagnostics):
+    model = parse(pragmas + """
+        contract C {
+            function f(int x) public pure returns (uint) {
+                return uint(x);
+            }
+        }
+    """, "<p>")
+    assert model.pragma.is_unbounded()
+    assert [d.message for d in model.diagnostics] == diagnostics
+    assert ids(detect_all(model)) == ["A-a-IS"]
+
+
 def test_findings_are_ordered():
     source = HEADER + """
         contract C {
@@ -350,3 +374,14 @@ def test_monotonic_under_unrelated_additions():
         }
     """
     assert ids(run(base)) == ids(run(extended)) == ["D-a-R"]
+
+
+RULES_SOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "rules.sol")
+
+
+@pytest.mark.parametrize("bug_id", DETECTABLE_BUG_IDS)
+def test_registry_rule_is_the_per_rule_entry_point(bug_id):
+    model = parse_file(RULES_SOL)
+    found = DETECTORS[bug_id].rule(model)
+    assert found and {f.bug_id for f in found} == {bug_id}
+    assert detect_all(model, [bug_id]) == sorted(found, key=Finding.sort_key)

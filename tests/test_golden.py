@@ -5,9 +5,13 @@ paths are relative, and compares stdout with ``tests/golden/<case>.out``.
 ``scan_non_ascii_json`` runs from ``tests/golden`` instead and scans
 ``non_ascii.sol``: multi-byte text in identifiers, comments and strings and
 one byte that is not UTF-8, so finding spans pin the byte offsets end to
-end. Every case exits 0 with nothing on stderr. After an intended output
-change, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+end. ``scan_rules_json`` also runs there and scans ``rules.sol``: two
+contracts, every function-level rule firing in more than one function, and
+``=+`` at file level, in a state-variable initializer and in a modifier, so
+the contract and function each finding is filed under are pinned. Every
+case exits 0 with nothing on stderr. After an intended output change,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
 """
 
 import contextlib
@@ -36,9 +40,10 @@ CASES = {
     "catalog_category_json": ["catalog", "--category", "A", "--format", "json"],
     "catalog_category_text": ["catalog", "--category", "A"],
     "scan_non_ascii_json": ["scan", "--format", "json", "non_ascii.sol"],
+    "scan_rules_json": ["scan", "--format", "json", "rules.sol"],
 }
 # Cases that run somewhere other than the corpus directory.
-CWD = {"scan_non_ascii_json": GOLDEN_DIR}
+CWD = {"scan_non_ascii_json": GOLDEN_DIR, "scan_rules_json": GOLDEN_DIR}
 
 
 def _run(case):

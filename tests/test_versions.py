@@ -31,6 +31,8 @@ def test_parse_version(text, expected):
     ("<0.6.0", None, (0, 6, 0)),
     ("<=0.4.26", None, (0, 4, 27)),
     (">=0.4.24 <0.6.0", (0, 4, 24), (0, 6, 0)),
+    (">= 0.4.22 < 0.6.0", (0, 4, 22), (0, 6, 0)),
+    (">=0.4.22<0.6.0", (0, 4, 22), (0, 6, 0)),
 ])
 def test_parse_constraint_bounds(text, lower, upper):
     constraint = parse_constraint(text)
@@ -46,7 +48,10 @@ def test_unbounded_forms(text):
     assert not constraint.is_empty()
 
 
-@pytest.mark.parametrize("text", ["nope", "pragma", ">=x.y.z"])
+@pytest.mark.parametrize("text", [
+    "nope", "pragma", ">=x.y.z", "foo 1.2", "0.4.24.1", "0.4.x", "^0.4.20 || ^0.5.0",
+    "0.4 . x", "^0.4.24 *",
+])
 def test_rejects_clause_free_text(text):
     with pytest.raises(VersionSyntaxError):
         parse_constraint(text)
