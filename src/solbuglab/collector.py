@@ -11,9 +11,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 import requests
@@ -47,8 +46,7 @@ class AuthError(RuntimeError):
     """The search endpoint rejected our credentials."""
 
 
-@dataclass(frozen=True)
-class WatchConfig:
+class WatchConfig(NamedTuple):
     keywords: Tuple[str, ...] = DEFAULT_KEYWORDS
     interval_days: int = DEFAULT_INTERVAL_DAYS
     endpoint: str = "https://api.github.com/search/repositories"
@@ -60,10 +58,6 @@ class WatchConfig:
     max_retries: int = 3
 
 
-_CONFIG_KEYS = ("keywords", "interval_days", "endpoint", "token_env",
-                "state_path", "notify", "per_page", "max_pages", "max_retries")
-
-
 def load_config(path: str) -> WatchConfig:
     """Read a config JSON file; every key is optional, every problem is
     reported at once."""
@@ -72,7 +66,7 @@ def load_config(path: str) -> WatchConfig:
     problems: List[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"], path)
-    for key in sorted(set(raw) - set(_CONFIG_KEYS)):
+    for key in sorted(set(raw) - set(WatchConfig._fields)):
         problems.append("unknown key %r" % key)
 
     fields: Dict[str, object] = {}
@@ -109,8 +103,7 @@ def load_config(path: str) -> WatchConfig:
     return WatchConfig(**fields)
 
 
-@dataclass(frozen=True)
-class ProjectSnapshot:
+class ProjectSnapshot(NamedTuple):
     project_id: str  # host/owner/name
     last_update: str  # ISO-8601 as reported by the host
     matched_keyword: str  # every matching keyword, sorted, joined with "; "
@@ -240,14 +233,13 @@ def poll(client, config: WatchConfig) -> Dict[str, ProjectSnapshot]:
                 merged[project_id] = ProjectSnapshot(
                     project_id=project_id, last_update=updated, matched_keyword="")
     return {
-        project_id: replace(snapshot,
-                            matched_keyword="; ".join(sorted(matches[project_id])))
+        project_id: snapshot._replace(
+            matched_keyword="; ".join(sorted(matches[project_id])))
         for project_id, snapshot in merged.items()
     }
 
 
-@dataclass(frozen=True)
-class ChangeSet:
+class ChangeSet(NamedTuple):
     added: Tuple[ProjectSnapshot, ...] = ()
     updated: Tuple[ProjectSnapshot, ...] = ()
     removed: Tuple[ProjectSnapshot, ...] = ()
@@ -274,12 +266,6 @@ def default_clock() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _snapshot_doc(snapshot: ProjectSnapshot) -> dict:
-    return {"project_id": snapshot.project_id,
-            "last_update": snapshot.last_update,
-            "matched_keyword": snapshot.matched_keyword}
-
-
 def notify_stdout(changes: ChangeSet, out=None) -> bool:
     out = out if out is not None else sys.stdout
     for verb, snapshots in (("added", changes.added), ("updated", changes.updated),
@@ -296,9 +282,9 @@ def notify_webhook(changes: ChangeSet, url: str,
                    http_post: Callable = requests.post) -> bool:
     """POST the delta as JSON. Only a 2xx response counts as delivered."""
     body = {
-        "added": [_snapshot_doc(s) for s in changes.added],
-        "updated": [_snapshot_doc(s) for s in changes.updated],
-        "removed": [_snapshot_doc(s) for s in changes.removed],
+        "added": [s._asdict() for s in changes.added],
+        "updated": [s._asdict() for s in changes.updated],
+        "removed": [s._asdict() for s in changes.removed],
         "at": clock(),
     }
     try:
@@ -347,7 +333,7 @@ def save_state(path: str, cursor: Optional[str],
     """Write-and-rename so a crash mid-write never leaves a torn file."""
     doc = {
         "cursor": cursor,
-        "projects": [_snapshot_doc(projects[k]) for k in sorted(projects)],
+        "projects": [projects[k]._asdict() for k in sorted(projects)],
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
@@ -362,8 +348,7 @@ def save_state(path: str, cursor: Optional[str],
         raise
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     status: str  # "ok" or "delivery-failed"
     changes: ChangeSet
     checked_at: str

@@ -7,10 +7,9 @@ stopping at the first, so a broken manifest is fixable in one round.
 
 import json
 import os
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .taxonomy import catalog_ids
 from .versions import PragmaConstraint, VersionSyntaxError, parse_constraint
@@ -32,8 +31,7 @@ class Origin(Enum):
 EXPECTATION_VALUES = ("miss", "false-positive")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One contract file in the corpus.
 
     labels are the bug kinds actually present; targets are the kinds the
@@ -52,8 +50,7 @@ class CorpusEntry:
     expectations: Tuple[Tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(NamedTuple):
     schema_version: str
     entries: Tuple[CorpusEntry, ...]
     base_dir: str

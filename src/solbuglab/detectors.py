@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .lexer import TokenKind
 from .model import (
@@ -44,8 +45,7 @@ from .taxonomy import kind_by_id
 from .versions import version_applies
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     bug_id: str
     file: str
     contract: str

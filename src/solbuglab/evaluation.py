@@ -6,8 +6,7 @@ end to end; they are reported as null/n-a, never coerced to 0 or 1.
 """
 
 import json
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import CorpusManifest, EntryKind
 from .detectors import DETECTABLE_BUG_IDS
@@ -15,8 +14,7 @@ from .runner import scan_files
 from .taxonomy import catalog, catalog_ids
 
 
-@dataclass(frozen=True)
-class ToolReport:
+class ToolReport(NamedTuple):
     """What a tool claims to find, and what it found where.
 
     findings pair a manifest-relative file path with a bug id.
@@ -26,8 +24,7 @@ class ToolReport:
     findings: FrozenSet[Tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -119,8 +116,7 @@ def _macro(values: Sequence[Optional[float]]) -> Optional[float]:
     return None if not defined else sum(defined) / len(defined)
 
 
-@dataclass(frozen=True)
-class SegmentMetrics:
+class SegmentMetrics(NamedTuple):
     name: str
     per_kind: Tuple[Tuple[str, ConfusionCounts], ...]
     micro: ConfusionCounts
@@ -132,8 +128,7 @@ class SegmentMetrics:
         return _macro([c.recall() for _, c in self.per_kind])
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     tool_name: str
     coverage: float
     segments: Tuple[SegmentMetrics, ...]

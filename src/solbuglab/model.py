@@ -2,8 +2,10 @@
 
 This is deliberately not a full AST.  Contracts, state variables, functions,
 and flat statement lists with spans are enough for the lexical detectors;
-expressions stay as normalized text.  All types here are immutable once the
-parser hands them out, and parsing the same source twice yields equal models.
+expressions stay as normalized text.  Every record is an immutable
+``NamedTuple`` that compares, hashes and unpacks as a plain tuple (copy one
+with ``._replace``); ``repr`` leaves out ``tokens``.  Parsing the same
+source twice yields equal models.
 
 ``Stmt.text`` is the statement's significant tokens joined with single spaces
 (comments and original spacing dropped); exact source is always recoverable
@@ -12,14 +14,20 @@ through the byte ``span``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .lexer import Token
 from .versions import PragmaConstraint
 
 Span = Tuple[int, int]
+
+
+def _repr_without_tokens(record: NamedTuple) -> str:
+    """``repr`` of a record minus its ``tokens``, which can hold a whole file."""
+    return "%s(%s)" % (type(record).__name__, ", ".join(
+        "%s=%r" % (name, value) for name, value in zip(record._fields, record)
+        if name != "tokens"))
 
 
 class TypeClass(Enum):
@@ -58,8 +66,7 @@ class StmtKind(Enum):
     OPAQUE = "opaque"
 
 
-@dataclass(frozen=True)
-class CallDetail:
+class CallDetail(NamedTuple):
     """A member call that can move ether:  ``<callee>.<member>...(...)``."""
 
     callee: str
@@ -69,16 +76,14 @@ class CallDetail:
     payload_empty: bool
 
 
-@dataclass(frozen=True)
-class AssignDetail:
+class AssignDetail(NamedTuple):
     lhs: str
     rhs: str
     lhs_base: str
     lhs_is_state_var: bool
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(NamedTuple):
     name: str
     type_text: str
     type_class: TypeClass
@@ -87,8 +92,7 @@ class VarDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """A require/assert/if condition, recorded in lexical order."""
 
     kind: str  # "require" | "assert" | "if"
@@ -96,19 +100,19 @@ class Guard:
     span: Span
 
 
-@dataclass(frozen=True)
-class Stmt:
+class Stmt(NamedTuple):
     kind: StmtKind
     span: Span
     text: str
     call: Optional[CallDetail] = None
     assign: Optional[AssignDetail] = None
     decl: Optional[VarDecl] = None
-    tokens: Tuple[Token, ...] = field(default=(), repr=False)
+    tokens: Tuple[Token, ...] = ()
+
+    __repr__ = _repr_without_tokens
 
 
-@dataclass(frozen=True)
-class FunctionDecl:
+class FunctionDecl(NamedTuple):
     name: str
     params: Tuple[VarDecl, ...]
     visibility: Visibility
@@ -120,8 +124,7 @@ class FunctionDecl:
     guards: Tuple[Guard, ...] = ()
 
 
-@dataclass(frozen=True)
-class ContractDecl:
+class ContractDecl(NamedTuple):
     name: str
     kind: str  # "contract" | "library" | "interface"
     state_vars: Tuple[VarDecl, ...]
@@ -129,19 +132,19 @@ class ContractDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     span: Span
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class SourceModel(NamedTuple):
     file_path: str
     pragma: PragmaConstraint
     contracts: Tuple[ContractDecl, ...]
     diagnostics: Tuple[Diagnostic, ...]
-    tokens: Tuple[Token, ...] = field(default=(), repr=False)
+    tokens: Tuple[Token, ...] = ()
+
+    __repr__ = _repr_without_tokens
 
     def contract_at(self, offset: int) -> Optional[ContractDecl]:
         for c in self.contracts:

@@ -16,7 +16,7 @@ which mirrors how the lexical detectors reason (and mis-reason) about code.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .lexer import Token, TokenKind, code_tokens, lex
 from .model import (
@@ -783,6 +783,19 @@ def _parse_contract(
     return raw, close + 1
 
 
+def _state_names(name: str, own_vars: Dict[str, Set[str]],
+                 bases_of: Dict[str, Sequence[str]], seen: Set[str]) -> Set[str]:
+    """State variables of ``name`` and its bases declared in the file; not a
+    closure, so parsing leaves no function-cell cycle for the collector."""
+    if name in seen or name not in own_vars:
+        return set()
+    seen.add(name)
+    out = set(own_vars[name])
+    for base in bases_of[name]:
+        out |= _state_names(base, own_vars, bases_of, seen)
+    return out
+
+
 def parse(source: str, file_path: str = "<string>") -> SourceModel:
     """Parse Solidity source into a structural model.  Never raises."""
 
@@ -792,6 +805,7 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
     structs, contract_names = _collect_global_names(sig)
 
     pragma: Optional[PragmaConstraint] = None
+    has_directive = False  # a ``pragma solidity`` was seen, parseable or not
     raws: List[_ContractRaw] = []
     i = 0
     while i < len(sig):
@@ -799,6 +813,7 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
         if text == "pragma":
             end = _skip_to(sig, i + 1, (";",))
             if i + 1 < end and sig[i + 1].text == "solidity":
+                has_directive = True
                 clause = _join(sig[i + 2 : end])
                 try:
                     c = parse_constraint(clause)
@@ -823,28 +838,20 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
         else:
             i += 1
 
-    # An unknown version could be any: every rule runs.
+    # An unknown version could be any: every rule runs.  An unparseable
+    # directive has its diagnostic already.
     if pragma is None or pragma.is_empty():
-        diagnostics.append(Diagnostic(
-            "no solidity version pragma" if pragma is None
-            else "contradictory version pragmas match no compiler", (0, 0)))
+        if pragma is not None or not has_directive:
+            diagnostics.append(Diagnostic(
+                "no solidity version pragma" if pragma is None
+                else "contradictory version pragmas match no compiler", (0, 0)))
         pragma = ANY_VERSION
 
     own_vars = {r.name: {v.name for v in r.state_vars} for r in raws}
-    bases_of = {r.name: list(r.bases) for r in raws}
-
-    def resolve(name: str, seen: Set[str]) -> Set[str]:
-        if name in seen or name not in own_vars:
-            return set()
-        seen.add(name)
-        out = set(own_vars[name])
-        for b in bases_of.get(name, ()):
-            out |= resolve(b, seen)
-        return out
-
+    bases_of = {r.name: r.bases for r in raws}
     contracts: List[ContractDecl] = []
     for raw in raws:
-        state_names = resolve(raw.name, set())
+        state_names = _state_names(raw.name, own_vars, bases_of, set())
         functions: List[FunctionDecl] = []
         for fn in raw.functions:
             body_parser = _BodyParser(

@@ -7,11 +7,10 @@ each other.
 """
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .versions import ANY_VERSION, PragmaConstraint, parse_constraint
 
@@ -75,15 +74,13 @@ def grade_severity(effects: Iterable[Effect]) -> Severity:
         % sorted((c.value, m.value) for c, m in effect_set))
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(NamedTuple):
     id: str
     name: str
     definition: str
 
 
-@dataclass(frozen=True)
-class BugKind:
+class BugKind(NamedTuple):
     id: str
     display_name: str
     category: str
@@ -178,8 +175,7 @@ def kinds_in_category(category_id: str) -> Tuple[BugKind, ...]:
 
 # --- merging bug records from multiple sources ---------------------------
 
-@dataclass(frozen=True)
-class BugRecord:
+class BugRecord(NamedTuple):
     """One source's description of a bug kind.
 
     behavior is the observable faulty behavior; consequence is the set of

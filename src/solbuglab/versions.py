@@ -12,6 +12,9 @@ All comparison forms found in pragmas are normalized into that shape:
     <=X.Y.Z       -> [-inf, X.Y.(Z+1))
     <X.Y.Z        -> [-inf, X.Y.Z)
 
+A partial version is npm's ``X.Y.x``: "next" bumps its last written part,
+so ``0.4`` -> [0.4.0, 0.5.0), ``>0.4`` -> [0.5.0, +inf), ``^0`` -> [0.0.0, 1.0.0).
+
 Multiple clauses in one directive and multiple directives in one file are
 intersected.  An empty intersection is representable and matches nothing.
 """
@@ -19,8 +22,7 @@ intersected.  An empty intersection is representable and matches nothing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 Version = Tuple[int, int, int]
 
@@ -46,16 +48,12 @@ def format_version(v: Version) -> str:
     return ".".join(str(n) for n in v)
 
 
-def _next_patch(v: Version) -> Version:
-    return (v[0], v[1], v[2] + 1)
+def _bump(v: Version, part: int) -> Version:
+    """``v`` with ``part`` (0 major, 1 minor, 2 patch) bumped, later parts 0."""
+    return v[:part] + (v[part] + 1,) + (0,) * (2 - part)
 
 
-def _next_minor(v: Version) -> Version:
-    return (v[0], v[1] + 1, 0)
-
-
-@dataclass(frozen=True)
-class PragmaConstraint:
+class PragmaConstraint(NamedTuple):
     """Half-open compiler version range.
 
     ``lower`` is inclusive, ``upper`` exclusive; ``None`` means unbounded on
@@ -117,17 +115,19 @@ class PragmaConstraint:
 ANY_VERSION = PragmaConstraint()
 
 
-def constraint_from_clause(op: str, version: Version, raw: str = "") -> PragmaConstraint:
+def constraint_from_clause(op: str, version: Version, raw: str = "",
+                           parts: int = 3) -> PragmaConstraint:
+    """One clause's range; ``parts`` is how many parts were written (``0.4``: 2)."""
     if op in ("^", "~"):
-        return PragmaConstraint(raw, version, _next_minor(version))
+        return PragmaConstraint(raw, version, _bump(version, min(parts, 2) - 1))
     if op in ("", "="):
-        return PragmaConstraint(raw, version, _next_patch(version))
+        return PragmaConstraint(raw, version, _bump(version, parts - 1))
     if op == ">=":
         return PragmaConstraint(raw, version, None)
     if op == ">":
-        return PragmaConstraint(raw, _next_patch(version), None)
+        return PragmaConstraint(raw, _bump(version, parts - 1), None)
     if op == "<=":
-        return PragmaConstraint(raw, None, _next_patch(version))
+        return PragmaConstraint(raw, None, _bump(version, parts - 1))
     if op == "<":
         return PragmaConstraint(raw, None, version)
     raise VersionSyntaxError(f"unknown constraint operator: {op!r}")
@@ -147,9 +147,9 @@ def parse_constraint(text: str) -> PragmaConstraint:
         raise VersionSyntaxError(f"not a list of version clauses: {text!r}")
     result = ANY_VERSION
     for m in _CLAUSE_RE.finditer(stripped):
-        op = m.group(1) or ""
-        version = parse_version(m.group(2))
-        result = result.intersect(constraint_from_clause(op, version))
+        op, written = m.group(1) or "", m.group(2)
+        result = result.intersect(constraint_from_clause(
+            op, parse_version(written), parts=written.count(".") + 1))
     return PragmaConstraint(stripped, result.lower, result.upper)
 
 

@@ -296,8 +296,9 @@ def test_version_gating_silences_legacy_rules():
     ("pragma solidity ^0.4.24;\npragma solidity ^0.5.0;\n",
      ["contradictory version pragmas match no compiler"]),
     ("pragma solidity ^0.4.20 || ^0.5.0;\n",
-     ["unparseable version pragma: '^ 0.4.20 || ^ 0.5.0'", "no solidity version pragma"]),
-], ids=["two-directives", "union"])
+     ["unparseable version pragma: '^ 0.4.20 || ^ 0.5.0'"]),
+    ("", ["no solidity version pragma"]),
+], ids=["two-directives", "union", "no-directive"])
 def test_unknown_version_runs_every_rule(pragmas, diagnostics):
     model = parse(pragmas + """
         contract C {

@@ -8,8 +8,13 @@ one byte that is not UTF-8, so finding spans pin the byte offsets end to
 end. ``scan_rules_json`` also runs there and scans ``rules.sol``: two
 contracts, every function-level rule firing in more than one function, and
 ``=+`` at file level, in a state-variable initializer and in a modifier, so
-the contract and function each finding is filed under are pinned. Every
-case exits 0 with nothing on stderr. After an intended output change,
+the contract and function each finding is filed under are pinned.
+``merge_*`` merge ``records.json``: two records with the same behaviour but
+different consequences, three names for one behaviour, and a lone record.
+``bench_tool_*`` score ``tool_report.json``, which maps native ids, repeats
+a finding, and has findings on an unclaimed kind and on a file outside the
+corpus, so tool reports, merged records and the scoring records are pinned
+too. Every case exits 0 with nothing on stderr. After an intended output change,
 rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
 review the diff.
 """
@@ -25,6 +30,7 @@ from solbuglab import cli
 from solbuglab.corpus import default_manifest_path
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TOOL_REPORT = os.path.join(GOLDEN_DIR, "tool_report.json")
 
 CASES = {
     "scan_json": ["scan", "--format", "json", "contracts"],
@@ -41,9 +47,15 @@ CASES = {
     "catalog_category_text": ["catalog", "--category", "A"],
     "scan_non_ascii_json": ["scan", "--format", "json", "non_ascii.sol"],
     "scan_rules_json": ["scan", "--format", "json", "rules.sol"],
+    "merge_json": ["merge", "records.json"],
+    "merge_text": ["merge", "records.json", "--format", "text"],
+    "bench_tool_json": ["bench", "--split-crafted", "--tool", TOOL_REPORT,
+                        "--format", "json"],
+    "bench_tool_text": ["bench", "--split-crafted", "--tool", TOOL_REPORT],
 }
 # Cases that run somewhere other than the corpus directory.
-CWD = {"scan_non_ascii_json": GOLDEN_DIR, "scan_rules_json": GOLDEN_DIR}
+CWD = {"scan_non_ascii_json": GOLDEN_DIR, "scan_rules_json": GOLDEN_DIR,
+       "merge_json": GOLDEN_DIR, "merge_text": GOLDEN_DIR}
 
 
 def _run(case):

@@ -33,6 +33,21 @@ def test_parse_version(text, expected):
     (">=0.4.24 <0.6.0", (0, 4, 24), (0, 6, 0)),
     (">= 0.4.22 < 0.6.0", (0, 4, 22), (0, 6, 0)),
     (">=0.4.22<0.6.0", (0, 4, 22), (0, 6, 0)),
+    # a partial version is npm's X.Y.x: "next" bumps the last written part
+    ("0.4", (0, 4, 0), (0, 5, 0)),
+    ("=0.4", (0, 4, 0), (0, 5, 0)),
+    (">0.4", (0, 5, 0), None),
+    (">=0.4", (0, 4, 0), None),
+    ("<=0.4", None, (0, 5, 0)),
+    ("<0.4", None, (0, 4, 0)),
+    ("^0.4", (0, 4, 0), (0, 5, 0)),
+    ("~0.4", (0, 4, 0), (0, 5, 0)),
+    ("0", (0, 0, 0), (1, 0, 0)),
+    ("^0", (0, 0, 0), (1, 0, 0)),
+    ("~0", (0, 0, 0), (1, 0, 0)),
+    (">0", (1, 0, 0), None),
+    ("<=0", None, (1, 0, 0)),
+    (">=0.4 <=0.5", (0, 4, 0), (0, 6, 0)),
 ])
 def test_parse_constraint_bounds(text, lower, upper):
     constraint = parse_constraint(text)
@@ -81,6 +96,8 @@ def test_intersection_narrows_and_empties():
     ("^0.4.24", "<=0.4.26", True),
     ("0.6.2", "<=0.4.26", False),
     ("*", "<=0.4.26", True),
+    (">0.4", "<=0.4.26", False),  # >0.4 starts at 0.5.0
+    ("0.4", "<=0.4.26", True),
 ])
 def test_version_applies(pragma, affected, expected):
     assert version_applies(parse_constraint(pragma),
