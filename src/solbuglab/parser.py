@@ -9,6 +9,14 @@ exception.  Unrecognized constructs become opaque statements.  Statement
 spans partition each function body exactly (leading trivia sticks to the
 following statement, trailing trivia to the last one).
 
+Brackets follow one rule.  A group ends at the partner of its opening
+bracket, counting that bracket's kind only (``_find_matching``).  An index
+is at the top level of a token range when no bracket opened earlier in the
+range is still open there (``_top_level``): the three kinds count together,
+so ``(a]`` is a closed group, and a closer with nothing open is ignored.
+Statement ends, parameter and base lists, call-option keys and the
+operators that classify a statement are all read at the top level.
+
 Modifier declarations are skipped as opaque contract members on purpose:
 their bodies do not contribute guards to the functions that invoke them,
 which mirrors how the lexical detectors reason (and mis-reason) about code.
@@ -16,7 +24,7 @@ which mirrors how the lexical detectors reason (and mis-reason) about code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lexer import Token, TokenKind, code_tokens, lex
 from .model import (
@@ -77,40 +85,48 @@ def _span_of(toks: Sequence[Token]) -> Span:
 
 
 def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> int:
-    """Index of the token closing the group opened at ``i``, looking no
-    further than ``end`` (default ``len(ts)``); ``end`` if none."""
+    """Index of the partner of the bracket ``ts[i]``.  From an opener it
+    looks forward, no further than ``end`` (default ``len(ts)``), and gives
+    ``end`` if none; from a closer it looks back and gives -1 if none."""
 
-    if end is None:
-        end = len(ts)
-    close = _OPENERS[ts[i].text]
-    open_ = ts[i].text
+    own = ts[i].text
+    if own in _OPENERS:
+        partner, step = _OPENERS[own], 1
+        stop = len(ts) if end is None else end
+    else:
+        partner, step, stop = _CLOSERS[own], -1, -1
     depth = 0
-    for j in range(i, end):
+    for j in range(i, stop, step):
         x = ts[j].text
-        if x == open_:
+        if x == own:
             depth += 1
-        elif x == close:
+        elif x == partner:
             depth -= 1
             if depth == 0:
                 return j
-    return end
+    return stop
 
 
-def _match_back(ts: Sequence[Token], i: int) -> int:
-    """Index of the token opening the group closed at ``i``; -1 if none."""
+def _skip_group(ts: Sequence[Token], i: int, end: int) -> int:
+    """Index just past the group opened at ``ts[i]``, clamped to ``end``;
+    ``end`` also when ``i`` is at or past it."""
+    return end if i >= end else min(_find_matching(ts, i, end) + 1, end)
 
-    open_ = _CLOSERS[ts[i].text]
-    close = ts[i].text
+
+def _top_level(toks: Sequence[Token], lo: int, hi: int) -> Iterator[int]:
+    """The indexes in ``toks[lo:hi]`` that no bracket opened in that range
+    encloses: an opener is at the top level, its group's inside and closer
+    are not, and a closer with nothing open is ignored."""
+
     depth = 0
-    for j in range(i, -1, -1):
-        x = ts[j].text
-        if x == close:
+    for i in range(lo, hi):
+        if depth == 0:
+            yield i
+        x = toks[i].text
+        if x in "([{":
             depth += 1
-        elif x == open_:
+        elif depth and x in ")]}":
             depth -= 1
-            if depth == 0:
-                return j
-    return -1
 
 
 def _skip_to(ts: Sequence[Token], i: int, stop: Tuple[str, ...]) -> int:
@@ -141,13 +157,11 @@ def _classify_type(toks: Sequence[Token], structs: Set[str]) -> TypeClass:
     if not toks:
         return TypeClass.OTHER
     first = toks[0].text
-    if first == "mapping":
-        # mapping(...)[...] is array-like at the outermost level
-        if _has_outer_bracket(toks[1:]):
-            return TypeClass.ARRAY
-        return TypeClass.MAPPING
-    if _has_outer_bracket(toks[1:]):
+    # a top-level ``[`` past the first token: ``T[]``, ``mapping(...)[...]``
+    if any(toks[i].text == "[" for i in _top_level(toks, 1, len(toks))):
         return TypeClass.ARRAY
+    if first == "mapping":
+        return TypeClass.MAPPING
     if any(t.text in structs for t in toks):
         return TypeClass.USER_COMPOSITE
     if first in ("bytes", "string"):
@@ -159,18 +173,6 @@ def _classify_type(toks: Sequence[Token], structs: Set[str]) -> TypeClass:
     if first.startswith("int"):
         return TypeClass.SIGNED_INT
     return TypeClass.OTHER
-
-
-def _has_outer_bracket(toks: Sequence[Token]) -> bool:
-    depth = 0
-    for t in toks:
-        if t.text == "(" or t.text == "{":
-            depth += 1
-        elif t.text == ")" or t.text == "}":
-            depth -= 1
-        elif t.text == "[" and depth == 0:
-            return True
-    return False
 
 
 def _parse_var_decl(
@@ -237,19 +239,11 @@ def _parse_var_decl(
 def _find_top_level(
     toks: Sequence[Token], ops: Tuple[str, ...], lo: int = 0, hi: Optional[int] = None
 ) -> Optional[int]:
-    """Index of the first punctuation token in ``ops`` outside every bracket,
-    looking at ``toks[lo:hi]`` (a stray closer is ignored); None if none."""
+    """Index of the first top-level punctuation token in ``ops`` within
+    ``toks[lo:hi]``; None if none."""
 
-    depth = 0
-    for i in range(lo, len(toks) if hi is None else hi):
-        t = toks[i]
-        x = t.text
-        if x in "([{":
-            depth += 1
-        elif x in ")]}":
-            if depth > 0:
-                depth -= 1
-        elif depth == 0 and x in ops and t.kind == TokenKind.PUNCTUATION:
+    for i in _top_level(toks, lo, len(toks) if hi is None else hi):
+        if toks[i].text in ops and toks[i].kind == TokenKind.PUNCTUATION:
             return i
     return None
 
@@ -282,7 +276,7 @@ def _callee_before(toks: Sequence[Token], dot: int) -> str:
     while j >= 0:
         t = toks[j]
         if t.text in (")", "]"):
-            opened = _match_back(toks, j)
+            opened = _find_matching(toks, j)
             if opened < 0:
                 break
             start = opened
@@ -311,19 +305,11 @@ def _call_suffix(
     payload_empty = True
     if k < len(toks) and toks[k].text == "{":
         end = _find_matching(toks, k)
-        depth = 0
-        for j in range(k, min(end, len(toks))):
-            x = toks[j].text
-            if x == "{":
-                depth += 1
-            elif x == "}":
-                depth -= 1
-            elif depth == 1 and x == ":" and j > 0:
-                key = toks[j - 1].text
-                if key == "value":
-                    carries = True
-                elif key == "gas":
-                    gas = True
+        # a key follows the opening brace or a top-level comma
+        for j in _top_level(toks, k + 1, end):
+            if toks[j].text == ":" and toks[j - 2].text in ("{", ","):
+                carries |= toks[j - 1].text == "value"
+                gas |= toks[j - 1].text == "gas"
         k = end + 1
     else:
         while (
@@ -336,7 +322,7 @@ def _call_suffix(
                 carries = True
             else:
                 gas = True
-            k = _find_matching(toks, k + 2) + 1
+            k = _skip_group(toks, k + 2, len(toks))
 
     if k < len(toks) and toks[k].text == "(":
         end = _find_matching(toks, k)
@@ -347,6 +333,18 @@ def _call_suffix(
             and args[0].text in ('""', "''")
         )
     return carries, gas, payload_empty
+
+
+def _guard(kind: str, toks: Sequence[Token], p: int, span: Span) -> Tuple[Guard, int]:
+    """Guard ``kind`` on the group opened at ``toks[p]``, and the index of
+    that group's closer (``len(toks)`` if unclosed).  With no ``(`` at
+    ``p`` the condition is empty at ``span`` and the index is ``p - 1``."""
+
+    if p >= len(toks) or toks[p].text != "(":
+        return Guard(kind, "", span), p - 1
+    close = _find_matching(toks, p)
+    cond = toks[p + 1 : close]
+    return Guard(kind, _join(cond), _span_of(cond) if cond else span), close
 
 
 class _BodyParser:
@@ -393,31 +391,21 @@ class _BodyParser:
 
     def _handle_if(self, i: int) -> int:
         bt = self.toks
-        cond_text = ""
-        cond_span = (bt[i].start, bt[i].end)
-        last = i
-        if i + 1 < len(bt) and bt[i + 1].text == "(":
-            close = _find_matching(bt, i + 1)
-            if close >= len(bt):
-                close = len(bt) - 1
-            cond_toks = bt[i + 2 : close]
-            cond_text = _join(cond_toks)
-            cond_span = _span_of(cond_toks) if cond_toks else cond_span
-            last = close
+        guard, close = _guard("if", bt, i + 1, bt[i].span)
+        last = min(close, len(bt) - 1)
         if last + 1 < len(bt) and bt[last + 1].text == "{":
             last += 1
         slice_ = bt[i : last + 1]
         self._emit(StmtKind.IF_GUARD, slice_, call=_scan_call(slice_))
-        self.guards.append(Guard("if", cond_text, cond_span))
+        self.guards.append(guard)
         return last + 1
 
     def _handle_loop(self, i: int) -> int:
         bt = self.toks
-        last = i
-        if i + 1 < len(bt) and bt[i + 1].text == "(":
-            close = _find_matching(bt, i + 1)
-            last = min(close, len(bt) - 1)
-        return self._handle_header(i, last + 1)
+        after = i + 1
+        if after < len(bt) and bt[after].text == "(":
+            after = _skip_group(bt, after, len(bt))
+        return self._handle_header(i, after)
 
     def _handle_header(self, i: int, after: int) -> int:
         """Emit an opaque header (else/do/loop), absorbing a trailing brace."""
@@ -430,54 +418,28 @@ class _BodyParser:
         return last + 1
 
     def _handle_assembly(self, i: int) -> int:
-        bt = self.toks
-        j = _skip_to(bt, i, ("{",))
-        if j >= len(bt):
-            self._emit(StmtKind.OPAQUE, bt[i:])
-            return len(bt)
-        close = _find_matching(bt, j)
-        close = min(close, len(bt) - 1)
-        self._emit(StmtKind.OPAQUE, bt[i : close + 1])
-        return close + 1
+        end = _skip_group(self.toks, _skip_to(self.toks, i, ("{",)), len(self.toks))
+        self._emit(StmtKind.OPAQUE, self.toks[i:end])
+        return end
 
     def _handle_simple(self, i: int) -> int:
+        """A statement from ``bt[i]`` (not a brace) through the first
+        top-level ``;``, or up to a top-level ``}`` that ends the enclosing
+        block mid-statement."""
+
         bt = self.toks
-        j = i
-        paren = bracket = brace = 0
-        end = None
-        while j < len(bt):
-            x = bt[j].text
-            if x == "(":
-                paren += 1
-            elif x == ")":
-                paren = max(0, paren - 1)
-            elif x == "[":
-                bracket += 1
-            elif x == "]":
-                bracket = max(0, bracket - 1)
-            elif x == "{":
-                brace += 1
-            elif x == "}":
-                if brace == 0:
-                    break  # enclosing block ends mid-statement
-                brace -= 1
-            elif x == ";" and paren == 0 and bracket == 0 and brace == 0:
+        end = len(bt)
+        for j in _top_level(bt, i, end):
+            if bt[j].text == ";":
+                end = j + 1
+                break
+            if bt[j].text == "}":
+                self.diagnostics.append(
+                    Diagnostic("statement not terminated", _span_of(bt[i:j])))
                 end = j
                 break
-            j += 1
-        if end is None:
-            slice_ = bt[i:j]
-            if j < len(bt):
-                self.diagnostics.append(
-                    Diagnostic("statement not terminated", _span_of(slice_ or bt[i : i + 1]))
-                )
-            nxt = j
-        else:
-            slice_ = bt[i : end + 1]
-            nxt = end + 1
-        if slice_:
-            self._classify_and_emit(slice_)
-        return max(nxt, i + 1)
+        self._classify_and_emit(bt[i:end])
+        return end
 
     def _emit(self, kind: StmtKind, slice_: Sequence[Token], **details) -> None:
         self.stmts.append((kind, slice_, details))
@@ -495,16 +457,8 @@ class _BodyParser:
             self._emit(StmtKind.RETURN, slice_, call=_scan_call(core))
             return
         if first in ("require", "assert"):
-            cond_text = ""
-            cond_span = _span_of(core)
             p = _skip_to(core, 0, ("(",))
-            if p < len(core):
-                close = _find_matching(core, p)
-                cond_toks = core[p + 1 : close]
-                cond_text = _join(cond_toks)
-                if cond_toks:
-                    cond_span = _span_of(cond_toks)
-            self.guards.append(Guard(first, cond_text, cond_span))
+            self.guards.append(_guard(first, core, p, _span_of(core))[0])
             self._emit(StmtKind.REQUIRE_OR_ASSERT, slice_, call=_scan_call(core))
             return
         if first == "delete":
@@ -607,30 +561,13 @@ class _FunctionRaw:
 def _parse_params(
     toks: Sequence[Token], structs: Set[str], contracts: Set[str]
 ) -> Tuple[VarDecl, ...]:
-    params: List[VarDecl] = []
-    start = 0
-    depth = 0
-    pieces: List[Sequence[Token]] = []
-    for i, t in enumerate(toks):
-        if t.text in "([{":
-            depth += 1
-        elif t.text in ")]}":
-            depth -= 1
-        elif t.text == "," and depth == 0:
-            pieces.append(toks[start:i])
-            start = i + 1
-    pieces.append(toks[start:])
-    for piece in pieces:
-        if not piece:
-            continue
-        # a parameter slot is a declaration by position, so any leading
-        # identifier may open a type here
-        decl = _parse_var_decl(
-            piece, structs, contracts, member=True, allow_unnamed=True
-        )
-        if decl is not None:
-            params.append(decl)
-    return tuple(params)
+    commas = [i for i in _top_level(toks, 0, len(toks)) if toks[i].text == ","]
+    # a parameter slot is a declaration by position, so any leading
+    # identifier may open a type here
+    decls = (_parse_var_decl(toks[a + 1 : b], structs, contracts, member=True,
+                             allow_unnamed=True)
+             for a, b in zip([-1] + commas, commas + [len(toks)]))
+    return tuple(d for d in decls if d is not None)
 
 
 def _parse_function_header(
@@ -674,7 +611,7 @@ def _parse_function_header(
         elif text == "payable":  # stepped over alone, even when "(" follows
             k += 1
         elif k + 1 < end and sig[k + 1].text == "(":
-            k = min(_find_matching(sig, k + 1, end), end - 1) + 1
+            k = _skip_group(sig, k + 1, end)
         else:
             k += 1
 
@@ -733,14 +670,8 @@ def _parse_contract(
         # forward declaration or garbage; nothing to record
         return None, (open_ + 1 if open_ < len(sig) else len(sig))
     if any(t.text == "is" for t in sig[k:open_]):
-        depth = 0
-        for t in sig[k:open_]:
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif depth == 0 and t.kind == TokenKind.IDENTIFIER and t.text != "is":
-                raw.bases.append(t.text)
+        raw.bases = [sig[j].text for j in _top_level(sig, k, open_)
+                     if sig[j].kind == TokenKind.IDENTIFIER]
     close = _find_matching(sig, open_)
     if close >= len(sig):
         diagnostics.append(
@@ -762,13 +693,9 @@ def _parse_contract(
             if stop >= close or sig[stop].text == ";":
                 j = min(stop + 1, close)
             else:
-                j = min(_find_matching(sig, stop), close - 1) + 1
+                j = _skip_group(sig, stop, close)
         elif text in ("struct", "enum"):
-            stop = _skip_to(sig, j, ("{",))
-            if stop >= close:
-                j = close
-            else:
-                j = min(_find_matching(sig, stop), close - 1) + 1
+            j = _skip_group(sig, _skip_to(sig, j, ("{",)), close)
         elif text in ("event", "error", "using"):
             j = min(_skip_to(sig, j, (";",)) + 1, close)
         else:
@@ -833,8 +760,7 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
         elif text in ("import", "using"):
             i = _skip_to(sig, i, (";",)) + 1
         elif text == "struct":
-            stop = _skip_to(sig, i, ("{",))
-            i = (_find_matching(sig, stop) + 1) if stop < len(sig) else len(sig)
+            i = _skip_group(sig, _skip_to(sig, i, ("{",)), len(sig))
         else:
             i += 1
 

@@ -4,7 +4,9 @@ Versions are three-part tuples (major, minor, patch).  A constraint is a
 half-open range [lower, upper) where either bound may be absent (unbounded).
 All comparison forms found in pragmas are normalized into that shape:
 
-    ^X.Y.Z        -> [X.Y.Z, X.(Y+1).0)     same minor series
+    ^X.Y.Z        -> [X.Y.Z, next of the leftmost non-zero written part)
+                     (the last written part if all are 0), as npm:
+                     ^1.2.3 < 2.0.0, ^0.4.24 < 0.5.0, ^0.0.3 < 0.0.4
     ~X.Y.Z        -> [X.Y.Z, X.(Y+1).0)
     =X.Y.Z, X.Y.Z -> [X.Y.Z, X.Y.(Z+1))    pinned
     >=X.Y.Z       -> [X.Y.Z, +inf)
@@ -118,7 +120,10 @@ ANY_VERSION = PragmaConstraint()
 def constraint_from_clause(op: str, version: Version, raw: str = "",
                            parts: int = 3) -> PragmaConstraint:
     """One clause's range; ``parts`` is how many parts were written (``0.4``: 2)."""
-    if op in ("^", "~"):
+    if op == "^":
+        part = next((i for i in range(parts) if version[i]), parts - 1)
+        return PragmaConstraint(raw, version, _bump(version, part))
+    if op == "~":
         return PragmaConstraint(raw, version, _bump(version, min(parts, 2) - 1))
     if op in ("", "="):
         return PragmaConstraint(raw, version, _bump(version, parts - 1))

@@ -118,6 +118,9 @@ def test_param_classification():
     assert classes == [TypeClass.ADDRESS, TypeClass.UNSIGNED_INT,
                        TypeClass.SIGNED_INT, TypeClass.ARRAY]
     assert [p.name for p in params] == ["to", "amount", "delta", "data"]
+    # a closer with nothing open is ignored: the comma still splits
+    model = parse("contract C { function f(uint] a, address b) public {} }")
+    assert [p.name for p in model.contracts[0].functions[0].params] == ["a", "b"]
 
 
 def test_require_becomes_guard():
@@ -214,16 +217,22 @@ def test_send_and_gas_variants():
                 a.send(1);
                 a.call.gas(2300).value(1)();
                 a.call.value(1)(bytes4(0x12345678));
+                a.call{value: c ? gas : 0}("");
+                a.call{value: (c ? gas : 0)}("");
             }
         }
     """)
     calls = [s.call for s in model.contracts[0].functions[0].body if s.call]
-    send, gas_call, payload_call = calls
+    send, gas_call, payload_call, ternary, nested = calls
     assert send.member == "send"
     assert send.gas_specified  # send forwards a fixed stipend
     assert gas_call.member == "call"
     assert gas_call.gas_specified
     assert not payload_call.payload_empty
+    # an option key follows the opening brace or a top-level comma
+    for call in (ternary, nested):
+        assert call.carries_value
+        assert not call.gas_specified
 
 
 def test_assembly_is_opaque_not_fatal():
@@ -246,6 +255,11 @@ def test_garbage_tolerated():
     assert isinstance(model.contracts, tuple)
     model2 = parse("@@@ ;;; what {]")
     assert model2.contracts == ()
+    # ``]`` closes the open ``(``, so the first ``;`` is at the top level
+    model3 = parse("contract C { function f() public { x = (a]; y = 1; } }")
+    (fn,) = model3.contracts[0].functions
+    assert [s.text for s in fn.body] == ["x = ( a ] ;", "y = 1 ;"]
+    assert body_partition_holds(fn)
 
 
 def test_partition_on_all_fixtures(manifest):

@@ -46,6 +46,11 @@ _SOLIDITY_ISH = st.lists(
     st.sampled_from(_FRAGMENTS) | st.text(max_size=3), max_size=60
 ).map("".join)
 _SOURCES = _ANY_TEXT | _FILE_TEXT | _SOLIDITY_ISH
+# The soup placed in a function's parameter list and body, so that bodies
+# are parsed and partitioned; brackets in it need not balance.
+_IN_FUNCTION = st.tuples(
+    _SOLIDITY_ISH, st.lists(_SOLIDITY_ISH, max_size=4).map("; ".join)
+).map(lambda soup: "contract C is B { function f(%s) public { %s } }" % soup)
 
 _SETTINGS = settings(
     max_examples=300,
@@ -168,7 +173,7 @@ def test_lex_matches_the_finditer_lexer_and_shares_atoms(source):
 
 
 @_SETTINGS
-@given(_SOURCES)
+@given(_SOURCES | _IN_FUNCTION)
 def test_parse_is_total_deterministic_and_partitions_bodies(source):
     model = parse(source, "prop.sol")
     assert parse(source, "prop.sol") == model

@@ -48,6 +48,11 @@ def test_parse_version(text, expected):
     (">0", (1, 0, 0), None),
     ("<=0", None, (1, 0, 0)),
     (">=0.4 <=0.5", (0, 4, 0), (0, 6, 0)),
+    # a caret bumps the leftmost non-zero written part, else the last one
+    ("^1.2.3", (1, 2, 3), (2, 0, 0)),
+    ("^1.2", (1, 2, 0), (2, 0, 0)),
+    ("^0.0.3", (0, 0, 3), (0, 0, 4)),
+    ("^0.0", (0, 0, 0), (0, 1, 0)),
 ])
 def test_parse_constraint_bounds(text, lower, upper):
     constraint = parse_constraint(text)
