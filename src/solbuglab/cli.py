@@ -290,7 +290,7 @@ def _cmd_watch(args) -> int:
     if args.replay:
         try:
             client = collector.RecordedSearchClient(args.replay)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, collector.ReplayError) as exc:
             return _input_error(args.replay, exc)
     else:
         client = collector.HttpSearchClient(config)

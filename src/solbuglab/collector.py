@@ -42,6 +42,10 @@ class StateError(ValueError):
     """The watch state file holds something other than watch state."""
 
 
+class ReplayError(ValueError):
+    """A replay document is not a mapping of keyword to canned results."""
+
+
 class AuthError(RuntimeError):
     """The search endpoint rejected our credentials."""
 
@@ -182,16 +186,28 @@ class HttpSearchClient:
 class RecordedSearchClient:
     """Replays canned search results from a JSON file or mapping.
 
-    The document maps keyword to a list of result items. A mapping value of
-    {"error": "auth"} simulates a credential rejection.
+    The document maps keyword to a list of result items (JSON objects). A
+    mapping value of {"error": "auth"} simulates a credential rejection, and
+    any other {"error": ...} value a failed search. Any other document
+    raises ReplayError, naming the file.
     """
 
     def __init__(self, source):
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as handle:
-                self._data = json.load(handle)
+                data = json.load(handle)
+            name = source
         else:
-            self._data = dict(source)
+            data, name = dict(source), "replay"
+        if not isinstance(data, dict):
+            raise ReplayError("%s: replay must be a JSON object mapping keyword "
+                              "to results" % name)
+        for keyword, value in data.items():
+            if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)
+                    or isinstance(value, dict) and "error" in value):
+                raise ReplayError('%s: results for %r must be a list of objects or '
+                                  'an {"error": ...} object' % (name, keyword))
+        self._data = data
 
     def search(self, keyword: str) -> List[dict]:
         value = self._data.get(keyword, [])

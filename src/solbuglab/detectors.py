@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
-from .lexer import TokenKind
+from .lexer import _TRIVIA, END, KIND, START, TEXT, TokenKind
 from .model import (
     ContractDecl,
     FunctionDecl,
@@ -40,7 +41,7 @@ from .model import (
     VarDecl,
     Visibility,
 )
-from .parser import _find_matching
+from .parser import _find_matching, _join, _texts
 from .taxonomy import kind_by_id
 from .versions import version_applies
 
@@ -75,7 +76,7 @@ def _snippet(text: str) -> str:
 
 def _anchor(stmt: Stmt) -> Span:
     if stmt.tokens:
-        return (stmt.tokens[0].start, stmt.tokens[-1].end)
+        return (stmt.tokens[0][START], stmt.tokens[-1][END])
     return stmt.span
 
 
@@ -180,15 +181,18 @@ _UINT_CAST_RE = re.compile(r"^uint\d*$")
 
 
 def _integer_sign(contract: ContractDecl, fn: FunctionDecl) -> Hits:
-    """Signed values converted to unsigned without a zero lower-bound check."""
+    """Signed values converted to unsigned without a zero lower-bound check;
+    a statement whose text lacks ``uint`` holds no cast and is not walked."""
 
     guards = GuardIndex(fn.guards, ORDER_VS_ZERO)
     signed: Optional[Set[str]] = None  # built at the first cast
     for stmt in fn.body:
+        if "uint" not in stmt.text:
+            continue
         toks = stmt.tokens
         for i, tok in enumerate(toks):
-            if (tok.kind is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok.text)
-                    or i + 1 >= len(toks) or toks[i + 1].text != "("):
+            if (tok[KIND] is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok[TEXT])
+                    or i + 1 >= len(toks) or toks[i + 1][TEXT] != "("):
                 continue
             close = _find_matching(toks, i + 1)
             inner = toks[i + 2 : close]
@@ -198,20 +202,20 @@ def _integer_sign(contract: ContractDecl, fn: FunctionDecl) -> Hits:
                 locals_ = (s.decl for s in fn.body if s.decl is not None)
                 signed = set(_names((*contract.state_vars, *fn.params, *locals_),
                                     TypeClass.SIGNED_INT))
-            inner_idents = [t.text for t in inner if t.kind is TokenKind.IDENTIFIER]
-            negative_literal = (inner[0].text == "-" and len(inner) >= 2
-                                and inner[1].kind is TokenKind.NUMBER)
+            inner_idents = [t[TEXT] for t in inner if t[KIND] is TokenKind.IDENTIFIER]
+            negative_literal = (inner[0][TEXT] == "-" and len(inner) >= 2
+                                and inner[1][KIND] is TokenKind.NUMBER)
             if not negative_literal and not any(n in signed for n in inner_idents):
                 continue
-            candidates = [" ".join(t.text for t in inner)]
+            candidates = [_join(inner)]
             if len(inner) == 1:
-                candidates.append(inner[0].text)
+                candidates.append(inner[0][TEXT])
             else:
                 candidates.extend(n for n in inner_idents if n in signed)
-            if guards.checked((_nospace(c) for c in candidates if c), tok.start):
+            if guards.checked((_nospace(c) for c in candidates if c), tok[START]):
                 continue
-            yield (tok.start, toks[close].end), (
-                f"{tok.text}({_snippet(candidates[0])}) converts a signed value "
+            yield (tok[START], toks[close][END]), (
+                f"{tok[TEXT]}({_snippet(candidates[0])}) converts a signed value "
                 "to unsigned with no preceding check that it is non-negative")
 
 
@@ -224,35 +228,35 @@ def _wrong_operator(bug_id: str) -> DetectorEntry:
 
     A file-level rule: it reads the whole token stream, so it also flags
     state-variable initializers, modifiers and code outside every contract
-    (filed under ``<top>``)."""
+    (filed under ``<top>``).  The ``=`` tokens are found by a C-level search
+    over the token texts before any token is looked at; ``=``, ``+`` and
+    ``-`` only ever lex as punctuation."""
 
     def rule(model: SourceModel) -> List[Finding]:
         findings: List[Finding] = []
         toks = model.tokens
-        for i, tok in enumerate(toks):
-            if tok.kind is not TokenKind.PUNCTUATION or tok.text != "=" or i + 1 >= len(toks):
-                continue
-            sign = toks[i + 1]
-            if (sign.kind is not TokenKind.PUNCTUATION or sign.text not in ("+", "-")
-                    or sign.start != tok.end):
+        for i in compress(count(), map("=".__eq__, map(_texts, toks))):
+            tok = toks[i]
+            sign = toks[i + 1] if i + 1 < len(toks) else None
+            if sign is None or sign[TEXT] not in ("+", "-") or sign[START] != tok[END]:
                 continue
             prev = toks[i - 1] if i else None
-            if (prev is not None and prev.kind is TokenKind.PUNCTUATION
-                    and prev.end == tok.start and prev.text[-1] in _PREV_EXCLUDE):
+            if (prev is not None and prev[KIND] is TokenKind.PUNCTUATION
+                    and prev[END] == tok[START] and prev[TEXT][-1] in _PREV_EXCLUDE):
                 continue
-            operand = next((toks[j] for j in range(i + 2, len(toks)) if toks[j].is_code()),
-                           None)
+            operand = next((toks[j] for j in range(i + 2, len(toks))
+                            if toks[j][KIND] not in _TRIVIA), None)
             if operand is None or not (
-                    operand.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
-                    or operand.text in _SIGN_OPERANDS):
+                    operand[KIND] in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
+                    or operand[TEXT] in _SIGN_OPERANDS):
                 continue
-            contract = model.contract_at(tok.start)
-            fn = model.function_at(tok.start)
+            contract = model.contract_at(tok[START])
+            fn = model.function_at(tok[START])
             findings.append(Finding(
                 bug_id, model.file_path, contract.name if contract else "<top>",
-                fn.name if fn else "", (tok.start, sign.end),
-                f"'={sign.text}' assigns a {'positive' if sign.text == '+' else 'negated'} "
-                f"value instead of applying '{sign.text}='"))
+                fn.name if fn else "", (tok[START], sign[END]),
+                f"'={sign[TEXT]}' assigns a {'positive' if sign[TEXT] == '+' else 'negated'} "
+                f"value instead of applying '{sign[TEXT]}='"))
         return findings
 
     return DetectorEntry(bug_id, rule)
@@ -325,10 +329,12 @@ def _wrong_signature_guard(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     """ecrecover result compared for equality with no zero-address rejection.
 
     On any malformed input ecrecover yields the zero address, so comparing the
-    result to a supplied address succeeds when both are zero.
+    result to a supplied address succeeds when both are zero.  Only a
+    statement whose text contains ``ecrecover`` has its tokens walked.
     """
 
-    rec_stmts = [s for s in fn.body if any(t.text == "ecrecover" for t in s.tokens)]
+    rec_stmts = [s for s in fn.body
+                 if "ecrecover" in s.text and any(t[TEXT] == "ecrecover" for t in s.tokens)]
     if not rec_stmts:
         return
     result_vars: List[str] = []

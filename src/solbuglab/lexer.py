@@ -33,6 +33,11 @@ class TokenKind(Enum):
     WHITESPACE = "whitespace"
 
 
+# Field positions in a Token: ``tok[TEXT]`` reads what ``tok.text`` does,
+# without the attribute lookup.
+KIND, TEXT, START, END = range(4)
+
+
 class Token(NamedTuple):
     kind: TokenKind
     text: str
@@ -133,4 +138,4 @@ def lex(source: str) -> List[Token]:
 def code_tokens(tokens: Sequence[Token]) -> List[Token]:
     """Tokens with whitespace and comments dropped."""
 
-    return [t for t in tokens if t.kind not in _TRIVIA]
+    return [t for t in tokens if t[KIND] not in _TRIVIA]

@@ -14,8 +14,9 @@ through the byte ``span``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .lexer import Token
 from .versions import PragmaConstraint
@@ -147,16 +148,15 @@ class SourceModel(NamedTuple):
     __repr__ = _repr_without_tokens
 
     def contract_at(self, offset: int) -> Optional[ContractDecl]:
-        for c in self.contracts:
-            if c.span[0] <= offset < c.span[1]:
-                return c
-        return None
+        return _holding(self.contracts, offset)
 
     def function_at(self, offset: int) -> Optional[FunctionDecl]:
         c = self.contract_at(offset)
-        if c is None:
-            return None
-        for f in c.functions:
-            if f.span[0] <= offset < f.span[1]:
-                return f
-        return None
+        return None if c is None else _holding(c.functions, offset)
+
+
+def _holding(records: Sequence, offset: int):
+    """The record whose span holds ``offset``, or None.  The spans ascend and
+    do not overlap, as ``parse`` builds them, so a bisection finds it."""
+    k = bisect_right(records, offset, key=lambda r: r.span[0]) - 1
+    return records[k] if k >= 0 and offset < records[k].span[1] else None

@@ -15,7 +15,9 @@ is at the top level of a token range when no bracket opened earlier in the
 range is still open there (``_top_level``): the three kinds count together,
 so ``(a]`` is a closed group, and a closer with nothing open is ignored.
 Statement ends, parameter and base lists, call-option keys and the
-operators that classify a statement are all read at the top level.
+operators that classify a statement are all read at the top level.  A body
+statement is classified from the one top-level walk that finds its end: the
+walk records the first top-level ``=``, compound operator and ``++``/``--``.
 
 Modifier declarations are skipped as opaque contract members on purpose:
 their bodies do not contribute guards to the functions that invoke them,
@@ -24,9 +26,10 @@ which mirrors how the lexical detectors reason (and mis-reason) about code.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .lexer import Token, TokenKind, code_tokens, lex
+from .lexer import END, KIND, START, TEXT, Token, TokenKind, code_tokens, lex
 from .model import (
     AssignDetail,
     CallDetail,
@@ -66,22 +69,27 @@ _VISIBILITY = {
     "internal": Visibility.INTERNAL,
     "private": Visibility.PRIVATE,
 }
-_COMPOUND_OPS = frozenset(
-    ("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=")
-)
+# The class of each token text that ends or classifies a body statement
+# when it is at the statement's top level.
+_MARKS = dict.fromkeys(("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="),
+                       "compound")
+_MARKS.update({";": ";", "}": "}", "=": "=", "++": "bump", "--": "bump"})
 _CALL_MEMBERS = frozenset(("call", "delegatecall", "callcode", "send", "transfer"))
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 
+_texts = itemgetter(TEXT)
+
+
 def _join(toks: Sequence[Token]) -> str:
-    return " ".join(t.text for t in toks)
+    return " ".join(map(_texts, toks))
 
 
 def _span_of(toks: Sequence[Token]) -> Span:
     if not toks:
         return (0, 0)
-    return (toks[0].start, toks[-1].end)
+    return (toks[0][START], toks[-1][END])
 
 
 def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> int:
@@ -89,7 +97,7 @@ def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> in
     looks forward, no further than ``end`` (default ``len(ts)``), and gives
     ``end`` if none; from a closer it looks back and gives -1 if none."""
 
-    own = ts[i].text
+    own = ts[i][TEXT]
     if own in _OPENERS:
         partner, step = _OPENERS[own], 1
         stop = len(ts) if end is None else end
@@ -97,7 +105,7 @@ def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> in
         partner, step, stop = _CLOSERS[own], -1, -1
     depth = 0
     for j in range(i, stop, step):
-        x = ts[j].text
+        x = ts[j][TEXT]
         if x == own:
             depth += 1
         elif x == partner:
@@ -122,47 +130,65 @@ def _top_level(toks: Sequence[Token], lo: int, hi: int) -> Iterator[int]:
     for i in range(lo, hi):
         if depth == 0:
             yield i
-        x = toks[i].text
+        x = toks[i][TEXT]
         if x in "([{":
             depth += 1
         elif depth and x in ")]}":
             depth -= 1
 
 
+def _walk_marks(
+    toks: Sequence[Token], lo: int, hi: int, stops: Tuple[str, ...]
+) -> Tuple[int, Dict[str, int]]:
+    """One walk over the top level of ``toks[lo:hi]``, up to the first token
+    whose ``_MARKS`` class is in ``stops``: that token's index (``hi`` if
+    none), and each class met before it with its first index from ``lo``."""
+
+    marks: Dict[str, int] = {}
+    for j in _top_level(toks, lo, hi):
+        mark = _MARKS.get(toks[j][TEXT])
+        if mark is not None:
+            if mark in stops:
+                return j, marks
+            marks.setdefault(mark, j - lo)
+    return hi, marks
+
+
 def _skip_to(ts: Sequence[Token], i: int, stop: Tuple[str, ...]) -> int:
     for j in range(i, len(ts)):
-        if ts[j].text in stop:
+        if ts[j][TEXT] in stop:
             return j
     return len(ts)
 
 
 def _is_word(tok: Token) -> bool:
-    return tok.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+    return tok[KIND] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
 
 
 def _is_type_start(tok: Token, structs: Set[str], contracts: Set[str]) -> bool:
-    text = tok.text
+    kind, text = tok[KIND], tok[TEXT]
     if text == "mapping" or text in _ELEMENTARY_TYPES:
         return True
-    if tok.kind == TokenKind.KEYWORD and (
+    if kind == TokenKind.KEYWORD and (
         text.startswith("int") or text.startswith("uint")
         or text.startswith("bytes") or text.startswith("fixed")
         or text.startswith("ufixed")
     ):
         return True
-    return tok.kind == TokenKind.IDENTIFIER and (text in structs or text in contracts)
+    return kind == TokenKind.IDENTIFIER and (text in structs or text in contracts)
 
 
 def _classify_type(toks: Sequence[Token], structs: Set[str]) -> TypeClass:
     if not toks:
         return TypeClass.OTHER
-    first = toks[0].text
+    first = toks[0][TEXT]
     # a top-level ``[`` past the first token: ``T[]``, ``mapping(...)[...]``
-    if any(toks[i].text == "[" for i in _top_level(toks, 1, len(toks))):
+    if "[" in map(_texts, toks) and any(
+            toks[i][TEXT] == "[" for i in _top_level(toks, 1, len(toks))):
         return TypeClass.ARRAY
     if first == "mapping":
         return TypeClass.MAPPING
-    if any(t.text in structs for t in toks):
+    if any(t[TEXT] in structs for t in toks):
         return TypeClass.USER_COMPOSITE
     if first in ("bytes", "string"):
         return TypeClass.ARRAY
@@ -177,13 +203,15 @@ def _classify_type(toks: Sequence[Token], structs: Set[str]) -> TypeClass:
 
 def _parse_var_decl(
     toks: Sequence[Token],
+    eq: Optional[int],
     structs: Set[str],
     contracts: Set[str],
     *,
     member: bool,
     allow_unnamed: bool = False,
 ) -> Optional[VarDecl]:
-    """Interpret ``toks`` (no trailing ``;``) as a variable declaration.
+    """Interpret ``toks`` (no trailing ``;``) as a variable declaration;
+    ``eq`` is the index of its first top-level ``=``, or None.
 
     ``member`` relaxes the leading-type check: at contract level any
     identifier can open a type, inside bodies it must be a known struct or
@@ -192,38 +220,33 @@ def _parse_var_decl(
 
     if not toks:
         return None
-    eq = _find_top_level(toks, ("=",))
-    decl_toks = list(toks[:eq] if eq is not None else toks)
-    has_init = eq is not None
-
     location = StorageLocation.DEFAULT
     filtered: List[Token] = []
-    for t in decl_toks:
-        if t.text in _LOCATIONS and location is StorageLocation.DEFAULT:
-            location = _LOCATIONS[t.text]
-            continue
-        if t.text in _DECL_FILTER:
-            continue
-        filtered.append(t)
+    for t in toks[:eq]:
+        text = t[TEXT]
+        if text in _LOCATIONS and location is StorageLocation.DEFAULT:
+            location = _LOCATIONS[text]
+        elif text not in _DECL_FILTER:
+            filtered.append(t)
     if not filtered:
         return None
 
     head = filtered[0]
-    if head.kind == TokenKind.IDENTIFIER and member:
+    if head[KIND] == TokenKind.IDENTIFIER and member:
         pass  # contract-level: trust position
     elif not _is_type_start(head, structs, contracts):
         return None
 
     name = ""
     type_toks: Sequence[Token] = filtered
-    if len(filtered) >= 2 and filtered[-1].kind == TokenKind.IDENTIFIER:
+    if len(filtered) >= 2 and filtered[-1][KIND] == TokenKind.IDENTIFIER:
         prev = filtered[-2]
-        if prev.text != "." and (_is_word(prev) or prev.text in (")", "]")):
-            name = filtered[-1].text
+        if prev[TEXT] != "." and (_is_word(prev) or prev[TEXT] in (")", "]")):
+            name = filtered[-1][TEXT]
             type_toks = filtered[:-1]
     if not name and not allow_unnamed:
         return None
-    if any(t.text == "(" for t in type_toks) and type_toks[0].text != "mapping":
+    if any(t[TEXT] == "(" for t in type_toks) and type_toks[0][TEXT] != "mapping":
         return None  # function calls are not declarations
 
     return VarDecl(
@@ -231,34 +254,22 @@ def _parse_var_decl(
         type_text=_join(type_toks),
         type_class=_classify_type(type_toks, structs),
         storage_location=location,
-        has_initializer=has_init,
+        has_initializer=eq is not None,
         span=_span_of(toks),
     )
-
-
-def _find_top_level(
-    toks: Sequence[Token], ops: Tuple[str, ...], lo: int = 0, hi: Optional[int] = None
-) -> Optional[int]:
-    """Index of the first top-level punctuation token in ``ops`` within
-    ``toks[lo:hi]``; None if none."""
-
-    for i in _top_level(toks, lo, len(toks) if hi is None else hi):
-        if toks[i].text in ops and toks[i].kind == TokenKind.PUNCTUATION:
-            return i
-    return None
 
 
 def _scan_call(toks: Sequence[Token]) -> Optional[CallDetail]:
     """Find the first ether-capable member call in a token run."""
 
     for i in range(len(toks) - 1):
-        if toks[i].text != "." or toks[i].kind != TokenKind.PUNCTUATION:
+        if toks[i][TEXT] != "." or toks[i][KIND] != TokenKind.PUNCTUATION:
             continue
         nxt = toks[i + 1]
-        if nxt.kind != TokenKind.IDENTIFIER or nxt.text not in _CALL_MEMBERS:
+        if nxt[KIND] != TokenKind.IDENTIFIER or nxt[TEXT] not in _CALL_MEMBERS:
             continue
         callee = _callee_before(toks, i)
-        member = nxt.text
+        member = nxt[TEXT]
         carries, gas, payload_empty = _call_suffix(toks, i + 2, member)
         return CallDetail(
             callee=callee,
@@ -275,17 +286,17 @@ def _callee_before(toks: Sequence[Token], dot: int) -> str:
     j = dot - 1
     while j >= 0:
         t = toks[j]
-        if t.text in (")", "]"):
+        if t[TEXT] in (")", "]"):
             opened = _find_matching(toks, j)
             if opened < 0:
                 break
             start = opened
             j = opened - 1
             continue
-        if _is_word(t) or t.kind == TokenKind.NUMBER:
+        if _is_word(t) or t[KIND] == TokenKind.NUMBER:
             start = j
             j -= 1
-            if j >= 0 and toks[j].text == ".":
+            if j >= 0 and toks[j][TEXT] == ".":
                 j -= 1
                 continue
             break
@@ -303,34 +314,34 @@ def _call_suffix(
     carries = False
     gas = False
     payload_empty = True
-    if k < len(toks) and toks[k].text == "{":
+    if k < len(toks) and toks[k][TEXT] == "{":
         end = _find_matching(toks, k)
         # a key follows the opening brace or a top-level comma
         for j in _top_level(toks, k + 1, end):
-            if toks[j].text == ":" and toks[j - 2].text in ("{", ","):
-                carries |= toks[j - 1].text == "value"
-                gas |= toks[j - 1].text == "gas"
+            if toks[j][TEXT] == ":" and toks[j - 2][TEXT] in ("{", ","):
+                carries |= toks[j - 1][TEXT] == "value"
+                gas |= toks[j - 1][TEXT] == "gas"
         k = end + 1
     else:
         while (
             k + 2 < len(toks)
-            and toks[k].text == "."
-            and toks[k + 1].text in ("value", "gas")
-            and toks[k + 2].text == "("
+            and toks[k][TEXT] == "."
+            and toks[k + 1][TEXT] in ("value", "gas")
+            and toks[k + 2][TEXT] == "("
         ):
-            if toks[k + 1].text == "value":
+            if toks[k + 1][TEXT] == "value":
                 carries = True
             else:
                 gas = True
             k = _skip_group(toks, k + 2, len(toks))
 
-    if k < len(toks) and toks[k].text == "(":
+    if k < len(toks) and toks[k][TEXT] == "(":
         end = _find_matching(toks, k)
         args = toks[k + 1 : end]
         payload_empty = not args or (
             len(args) == 1
-            and args[0].kind == TokenKind.STRING
-            and args[0].text in ('""', "''")
+            and args[0][KIND] == TokenKind.STRING
+            and args[0][TEXT] in ('""', "''")
         )
     return carries, gas, payload_empty
 
@@ -340,7 +351,7 @@ def _guard(kind: str, toks: Sequence[Token], p: int, span: Span) -> Tuple[Guard,
     that group's closer (``len(toks)`` if unclosed).  With no ``(`` at
     ``p`` the condition is empty at ``span`` and the index is ``p - 1``."""
 
-    if p >= len(toks) or toks[p].text != "(":
+    if p >= len(toks) or toks[p][TEXT] != "(":
         return Guard(kind, "", span), p - 1
     close = _find_matching(toks, p)
     cond = toks[p + 1 : close]
@@ -371,7 +382,7 @@ class _BodyParser:
         bt = self.toks
         i = 0
         while i < len(bt):
-            text = bt[i].text
+            text = bt[i][TEXT]
             if text == "if":
                 i = self._handle_if(i)
             elif text == "else":
@@ -391,9 +402,9 @@ class _BodyParser:
 
     def _handle_if(self, i: int) -> int:
         bt = self.toks
-        guard, close = _guard("if", bt, i + 1, bt[i].span)
+        guard, close = _guard("if", bt, i + 1, (bt[i][START], bt[i][END]))
         last = min(close, len(bt) - 1)
-        if last + 1 < len(bt) and bt[last + 1].text == "{":
+        if last + 1 < len(bt) and bt[last + 1][TEXT] == "{":
             last += 1
         slice_ = bt[i : last + 1]
         self._emit(StmtKind.IF_GUARD, slice_, call=_scan_call(slice_))
@@ -403,7 +414,7 @@ class _BodyParser:
     def _handle_loop(self, i: int) -> int:
         bt = self.toks
         after = i + 1
-        if after < len(bt) and bt[after].text == "(":
+        if after < len(bt) and bt[after][TEXT] == "(":
             after = _skip_group(bt, after, len(bt))
         return self._handle_header(i, after)
 
@@ -412,7 +423,7 @@ class _BodyParser:
 
         bt = self.toks
         last = after - 1
-        if after < len(bt) and bt[after].text == "{":
+        if after < len(bt) and bt[after][TEXT] == "{":
             last = after
         self._emit(StmtKind.OPAQUE, bt[i : last + 1])
         return last + 1
@@ -428,30 +439,25 @@ class _BodyParser:
         block mid-statement."""
 
         bt = self.toks
-        end = len(bt)
-        for j in _top_level(bt, i, end):
-            if bt[j].text == ";":
-                end = j + 1
-                break
-            if bt[j].text == "}":
-                self.diagnostics.append(
-                    Diagnostic("statement not terminated", _span_of(bt[i:j])))
-                end = j
-                break
-        self._classify_and_emit(bt[i:end])
+        end, marks = _walk_marks(bt, i, len(bt), (";", "}"))
+        if end < len(bt) and bt[end][TEXT] == ";":
+            end += 1
+        elif end < len(bt):
+            self.diagnostics.append(
+                Diagnostic("statement not terminated", _span_of(bt[i:end])))
+        self._classify_and_emit(bt[i:end], marks)
         return end
 
     def _emit(self, kind: StmtKind, slice_: Sequence[Token], **details) -> None:
         self.stmts.append((kind, slice_, details))
 
-    def _classify_and_emit(self, slice_: Sequence[Token]) -> None:
-        core = list(slice_)
-        if core and core[-1].text == ";":
-            core = core[:-1]
+    def _classify_and_emit(self, slice_: Sequence[Token], marks: Dict[str, int]) -> None:
+        core = slice_[:-1] if slice_ and slice_[-1][TEXT] == ";" else slice_
         if not core:
             self._emit(StmtKind.OPAQUE, slice_)
             return
-        first = core[0].text
+        first = core[0][TEXT]
+        eq = marks.get("=")
 
         if first == "return":
             self._emit(StmtKind.RETURN, slice_, call=_scan_call(core))
@@ -469,14 +475,13 @@ class _BodyParser:
             return
 
         if _is_type_start(core[0], self.structs, self.contracts):
-            decl = _parse_var_decl(core, self.structs, self.contracts, member=False)
+            decl = _parse_var_decl(core, eq, self.structs, self.contracts, member=False)
             if decl is not None:
                 call = _scan_call(core)
                 kind = StmtKind.EXTERNAL_CALL if call else StmtKind.LOCAL_VAR_DECL
                 self._emit(kind, slice_, decl=decl, call=call)
                 return
 
-        eq = _find_top_level(core, ("=",))
         if eq is not None:
             rhs = core[eq + 1 :]
             call = _scan_call(rhs)
@@ -484,13 +489,13 @@ class _BodyParser:
             self._emit(kind, slice_, assign=self._assign(core[:eq], rhs), call=call)
             return
 
-        comp = _find_top_level(core, tuple(_COMPOUND_OPS))
+        comp = marks.get("compound")
         if comp is not None:
             assign = self._assign(core[:comp], core[comp + 1 :])
             self._emit(StmtKind.COMPOUND_ASSIGNMENT, slice_, assign=assign)
             return
 
-        bump = _find_top_level(core, ("++", "--"))
+        bump = marks.get("bump")
         if bump is not None:
             assign = self._assign(core[:bump] + core[bump + 1 :])
             self._emit(StmtKind.COMPOUND_ASSIGNMENT, slice_, assign=assign)
@@ -502,7 +507,7 @@ class _BodyParser:
 
     def _assign(self, lhs: Sequence[Token], rhs: Sequence[Token] = ()) -> AssignDetail:
         """The write to ``lhs``; its base is the first identifier in it."""
-        base = next((t.text for t in lhs if t.kind == TokenKind.IDENTIFIER), "")
+        base = next((t[TEXT] for t in lhs if t[KIND] == TokenKind.IDENTIFIER), "")
         return AssignDetail(lhs=_join(lhs), rhs=_join(rhs), lhs_base=base,
                             lhs_is_state_var=base in self.state_vars)
 
@@ -518,7 +523,7 @@ class _BodyParser:
         prev_end = lo
         last = len(self.stmts) - 1
         for idx, (kind, slice_, details) in enumerate(self.stmts):
-            end = slice_[-1].end if idx < last else max(slice_[-1].end, hi)
+            end = slice_[-1][END] if idx < last else max(slice_[-1][END], hi)
             out.append(
                 Stmt(
                     kind=kind,
@@ -536,13 +541,13 @@ def _collect_global_names(sig: Sequence[Token]) -> Tuple[Set[str], Set[str]]:
     structs: Set[str] = set()
     contracts: Set[str] = set()
     for i in range(len(sig) - 1):
-        if sig[i].text == "struct" and sig[i + 1].kind == TokenKind.IDENTIFIER:
-            structs.add(sig[i + 1].text)
+        if sig[i][TEXT] == "struct" and sig[i + 1][KIND] == TokenKind.IDENTIFIER:
+            structs.add(sig[i + 1][TEXT])
         elif (
-            sig[i].text in ("contract", "library", "interface")
-            and sig[i + 1].kind == TokenKind.IDENTIFIER
+            sig[i][TEXT] in ("contract", "library", "interface")
+            and sig[i + 1][KIND] == TokenKind.IDENTIFIER
         ):
-            contracts.add(sig[i + 1].text)
+            contracts.add(sig[i + 1][TEXT])
     return structs, contracts
 
 
@@ -561,11 +566,11 @@ class _FunctionRaw:
 def _parse_params(
     toks: Sequence[Token], structs: Set[str], contracts: Set[str]
 ) -> Tuple[VarDecl, ...]:
-    commas = [i for i in _top_level(toks, 0, len(toks)) if toks[i].text == ","]
+    commas = [i for i in _top_level(toks, 0, len(toks)) if toks[i][TEXT] == ","]
     # a parameter slot is a declaration by position, so any leading
     # identifier may open a type here
-    decls = (_parse_var_decl(toks[a + 1 : b], structs, contracts, member=True,
-                             allow_unnamed=True)
+    decls = (_parse_var_decl(toks[a + 1 : b], _walk_marks(toks, a + 1, b, ())[1].get("="),
+                             structs, contracts, member=True, allow_unnamed=True)
              for a, b in zip([-1] + commas, commas + [len(toks)]))
     return tuple(d for d in decls if d is not None)
 
@@ -583,59 +588,59 @@ def _parse_function_header(
 
     fn = _FunctionRaw()
     start_tok = sig[i]
-    kw = start_tok.text
+    kw = start_tok[TEXT]
     k = i + 1
     if kw == "function":
         if k < end and _is_word(sig[k]):
-            fn.name = sig[k].text
+            fn.name = sig[k][TEXT]
             k += 1
     else:
         fn.name = kw if kw != "constructor" else "constructor"
     fn.is_fallback = fn.name in ("", "fallback", "receive")
 
-    if k < end and sig[k].text == "(":
+    if k < end and sig[k][TEXT] == "(":
         close = _find_matching(sig, k, end)
         if close >= end:
             diagnostics.append(
-                Diagnostic("unclosed parameter list", (start_tok.start, sig[end - 1].end))
+                Diagnostic("unclosed parameter list", (start_tok[START], sig[end - 1][END]))
             )
             close = end - 1
         fn.params = _parse_params(sig[k + 1 : close], structs, contracts)
         k = close + 1
 
-    while k < end and sig[k].text not in ("{", ";"):
-        text = sig[k].text
+    while k < end and sig[k][TEXT] not in ("{", ";"):
+        text = sig[k][TEXT]
         if text in _VISIBILITY:
             fn.visibility = _VISIBILITY[text]
             k += 1
         elif text == "payable":  # stepped over alone, even when "(" follows
             k += 1
-        elif k + 1 < end and sig[k + 1].text == "(":
+        elif k + 1 < end and sig[k + 1][TEXT] == "(":
             k = _skip_group(sig, k + 1, end)
         else:
             k += 1
 
     if k >= end:
         fn.has_body = False
-        fn.span = (start_tok.start, sig[end - 1].end)
-        fn.body_span = (sig[end - 1].end, sig[end - 1].end)
+        fn.span = (start_tok[START], sig[end - 1][END])
+        fn.body_span = (sig[end - 1][END], sig[end - 1][END])
         return fn, end
 
-    if sig[k].text == ";":
+    if sig[k][TEXT] == ";":
         fn.has_body = False
-        fn.span = (start_tok.start, sig[k].end)
-        fn.body_span = (sig[k].end, sig[k].end)
+        fn.span = (start_tok[START], sig[k][END])
+        fn.body_span = (sig[k][END], sig[k][END])
         return fn, k + 1
 
     close = _find_matching(sig, k, end)
     if close >= end:
         diagnostics.append(
-            Diagnostic("unclosed function body", (start_tok.start, sig[end - 1].end))
+            Diagnostic("unclosed function body", (start_tok[START], sig[end - 1][END]))
         )
         close = end - 1
     fn.body_toks = sig[k + 1 : close]
-    fn.body_span = (sig[k].end, sig[close].start)
-    fn.span = (start_tok.start, sig[close].end)
+    fn.body_span = (sig[k][END], sig[close][START])
+    fn.span = (start_tok[START], sig[close][END])
     return fn, close + 1
 
 
@@ -656,33 +661,33 @@ def _parse_contract(
     contracts: Set[str],
     diagnostics: List[Diagnostic],
 ) -> Tuple[Optional[_ContractRaw], int]:
-    kind = sig[i].text
+    kind = sig[i][TEXT]
     start_tok = sig[i]
     name = "<anonymous>"
     k = i + 1
     if k < len(sig) and _is_word(sig[k]):
-        name = sig[k].text
+        name = sig[k][TEXT]
         k += 1
     raw = _ContractRaw(kind, name)
 
     open_ = _skip_to(sig, k, ("{", ";"))
-    if open_ >= len(sig) or sig[open_].text == ";":
+    if open_ >= len(sig) or sig[open_][TEXT] == ";":
         # forward declaration or garbage; nothing to record
         return None, (open_ + 1 if open_ < len(sig) else len(sig))
-    if any(t.text == "is" for t in sig[k:open_]):
-        raw.bases = [sig[j].text for j in _top_level(sig, k, open_)
-                     if sig[j].kind == TokenKind.IDENTIFIER]
+    if any(t[TEXT] == "is" for t in sig[k:open_]):
+        raw.bases = [sig[j][TEXT] for j in _top_level(sig, k, open_)
+                     if sig[j][KIND] == TokenKind.IDENTIFIER]
     close = _find_matching(sig, open_)
     if close >= len(sig):
         diagnostics.append(
-            Diagnostic(f"unclosed {kind} body", (start_tok.start, sig[-1].end))
+            Diagnostic(f"unclosed {kind} body", (start_tok[START], sig[-1][END]))
         )
         close = len(sig) - 1
-    raw.span = (start_tok.start, sig[close].end)
+    raw.span = (start_tok[START], sig[close][END])
 
     j = open_ + 1
     while j < close:
-        text = sig[j].text
+        text = sig[j][TEXT]
         if text in ("function", "constructor", "fallback", "receive"):
             fn, j = _parse_function_header(
                 sig, j, close, structs, contracts, diagnostics
@@ -690,7 +695,7 @@ def _parse_contract(
             raw.functions.append(fn)
         elif text == "modifier":
             stop = _skip_to(sig, j, ("{", ";"))
-            if stop >= close or sig[stop].text == ";":
+            if stop >= close or sig[stop][TEXT] == ";":
                 j = min(stop + 1, close)
             else:
                 j = _skip_group(sig, stop, close)
@@ -699,11 +704,8 @@ def _parse_contract(
         elif text in ("event", "error", "using"):
             j = min(_skip_to(sig, j, (";",)) + 1, close)
         else:
-            end = _find_top_level(sig, (";",), j, close)
-            if end is None:
-                end = close
-            piece = sig[j:end]
-            decl = _parse_var_decl(piece, structs, contracts, member=True)
+            end, marks = _walk_marks(sig, j, close, (";",))
+            decl = _parse_var_decl(sig[j:end], marks.get("="), structs, contracts, member=True)
             if decl is not None:
                 raw.state_vars.append(decl)
             j = end + 1
@@ -736,10 +738,10 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
     raws: List[_ContractRaw] = []
     i = 0
     while i < len(sig):
-        text = sig[i].text
+        text = sig[i][TEXT]
         if text == "pragma":
             end = _skip_to(sig, i + 1, (";",))
-            if i + 1 < end and sig[i + 1].text == "solidity":
+            if i + 1 < end and sig[i + 1][TEXT] == "solidity":
                 has_directive = True
                 clause = _join(sig[i + 2 : end])
                 try:
@@ -749,7 +751,7 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
                     diagnostics.append(
                         Diagnostic(
                             f"unparseable version pragma: {clause!r}",
-                            (sig[i].start, sig[min(end, len(sig) - 1)].end),
+                            (sig[i][START], sig[min(end, len(sig) - 1)][END]),
                         )
                     )
             i = end + 1

@@ -396,6 +396,28 @@ def test_watch_auth_failure(capsys, tmp_path):
     assert "token" in err
 
 
+@pytest.mark.parametrize("replay, problem", [
+    ([1, 2], "must be a JSON object"),
+    ("x", "must be a JSON object"),
+    ({"smart contract bugs": 5}, "'smart contract bugs' must be a list of objects"),
+    ({"smart contract bugs": [1]}, "'smart contract bugs' must be a list of objects"),
+], ids=["list", "string", "int-results", "int-item"])
+def test_watch_refuses_malformed_replay(capsys, tmp_path, replay, problem):
+    replay_path = tmp_path / "replay.json"
+    replay_path.write_text(json.dumps(replay), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "watch", "--config", str(config),
+                             "--replay", str(replay_path), "--once")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s: " % replay_path)
+    assert problem in err
+    assert "Traceback" not in err
+    assert not os.path.exists(str(tmp_path / "state.json"))
+
+
 def test_watch_bad_config(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"interval_days": "soon"}), encoding="utf-8")

@@ -1,26 +1,36 @@
 """Front-end contract on arbitrary input, checked with hypothesis: lexing
 never raises and is lossless with contiguous byte spans; parsing never
 raises, is deterministic, and its statement spans partition each body.
-The lexer gives the tokens of the ``finditer`` lexer it replaced, and the
-guard index the verdicts of the per-guard regex predicates it replaced;
-both replaced versions are kept here unchanged as oracles."""
+The lexer gives the tokens of the ``finditer`` lexer it replaced, the guard
+index the verdicts of the per-guard regex predicates it replaced, and the
+token-walking rules (A-a-W, A-a-IS, E-a-SW) the findings of the versions
+that read token fields by name and walked every token; the replaced
+versions are kept here unchanged as oracles."""
 
 import re
 from types import SimpleNamespace
 from typing import Dict, Iterable, List
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from solbuglab.detectors import (
     ADDRESS_VS_ZERO,
+    DETECTORS,
     EQUALS_ZERO,
     ORDER_VS_ZERO,
+    DetectorEntry,
+    Finding,
     GuardIndex,
+    _anchor,
+    _names,
     _nospace,
+    _per_function,
+    _snippet,
 )
 from solbuglab.lexer import Token, TokenKind, _classify_word, lex
-from solbuglab.model import Guard
-from solbuglab.parser import parse
+from solbuglab.model import Guard, TypeClass
+from solbuglab.parser import _find_matching, parse
 
 from test_parser import body_partition_holds
 
@@ -40,7 +50,7 @@ _FRAGMENTS = (
     "assert(y)", "return ", "delete m[a]", "emit E()", "x += 1", "x++",
     "a.call.value(1)()", "a.call{value: 1}(\"\")", "a.transfer(1)",
     "uint256(x)", "// c\n", "/* c */", "/*", '"s"', "'t", "\\", "\n", " ",
-    "0x1f", "1e9", "²", "é", "\udc80",
+    "0x1f", "1e9", "²", "é", "\udc80", "=-", "uint8(", "uint(", "ecrecover(",
 )
 _SOLIDITY_ISH = st.lists(
     st.sampled_from(_FRAGMENTS) | st.text(max_size=3), max_size=60
@@ -323,3 +333,147 @@ def test_equals_guard_index_matches_approve_zero_regexes(case):
         fn = SimpleNamespace(guards=_before(guards, offset))
         expected = _approve_zero_guarded(fn, value_param, lhs)
         assert index.checked((value_param, lhs), offset) == expected
+
+
+# --- token-walking rules against the versions they replaced ----------------
+# Copied unchanged: they read token fields by name and walk every token of
+# every statement (A-a-IS, E-a-SW) or of the file (A-a-W).
+
+_UINT_CAST_RE = re.compile(r"^uint\d*$")
+
+
+def _reference_integer_sign(contract, fn):
+    """Signed values converted to unsigned without a zero lower-bound check."""
+
+    guards = GuardIndex(fn.guards, ORDER_VS_ZERO)
+    signed = None  # built at the first cast
+    for stmt in fn.body:
+        toks = stmt.tokens
+        for i, tok in enumerate(toks):
+            if (tok.kind is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok.text)
+                    or i + 1 >= len(toks) or toks[i + 1].text != "("):
+                continue
+            close = _find_matching(toks, i + 1)
+            inner = toks[i + 2 : close]
+            if close == len(toks) or not inner:
+                continue
+            if signed is None:
+                locals_ = (s.decl for s in fn.body if s.decl is not None)
+                signed = set(_names((*contract.state_vars, *fn.params, *locals_),
+                                    TypeClass.SIGNED_INT))
+            inner_idents = [t.text for t in inner if t.kind is TokenKind.IDENTIFIER]
+            negative_literal = (inner[0].text == "-" and len(inner) >= 2
+                                and inner[1].kind is TokenKind.NUMBER)
+            if not negative_literal and not any(n in signed for n in inner_idents):
+                continue
+            candidates = [" ".join(t.text for t in inner)]
+            if len(inner) == 1:
+                candidates.append(inner[0].text)
+            else:
+                candidates.extend(n for n in inner_idents if n in signed)
+            if guards.checked((_nospace(c) for c in candidates if c), tok.start):
+                continue
+            yield (tok.start, toks[close].end), (
+                f"{tok.text}({_snippet(candidates[0])}) converts a signed value "
+                "to unsigned with no preceding check that it is non-negative")
+
+
+_SIGN_OPERANDS = frozenset(("this", "msg", "tx", "now", "true", "false"))
+_PREV_EXCLUDE = "=!<>+-*/%&|^~"
+
+
+def _reference_wrong_operator(bug_id):
+    """``=+`` or ``=-`` written where ``+=``/``-=`` (or ``=``) was meant."""
+
+    def rule(model):
+        findings = []
+        toks = model.tokens
+        for i, tok in enumerate(toks):
+            if tok.kind is not TokenKind.PUNCTUATION or tok.text != "=" or i + 1 >= len(toks):
+                continue
+            sign = toks[i + 1]
+            if (sign.kind is not TokenKind.PUNCTUATION or sign.text not in ("+", "-")
+                    or sign.start != tok.end):
+                continue
+            prev = toks[i - 1] if i else None
+            if (prev is not None and prev.kind is TokenKind.PUNCTUATION
+                    and prev.end == tok.start and prev.text[-1] in _PREV_EXCLUDE):
+                continue
+            operand = next((toks[j] for j in range(i + 2, len(toks)) if toks[j].is_code()),
+                           None)
+            if operand is None or not (
+                    operand.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
+                    or operand.text in _SIGN_OPERANDS):
+                continue
+            contract = model.contract_at(tok.start)
+            fn = model.function_at(tok.start)
+            findings.append(Finding(
+                bug_id, model.file_path, contract.name if contract else "<top>",
+                fn.name if fn else "", (tok.start, sign.end),
+                f"'={sign.text}' assigns a {'positive' if sign.text == '+' else 'negated'} "
+                f"value instead of applying '{sign.text}='"))
+        return findings
+
+    return DetectorEntry(bug_id, rule)
+
+
+_IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
+
+
+def _reference_wrong_signature_guard(contract, fn):
+    """ecrecover result compared for equality with no zero-address rejection."""
+
+    rec_stmts = [s for s in fn.body if any(t.text == "ecrecover" for t in s.tokens)]
+    if not rec_stmts:
+        return
+    result_vars = []
+    for s in rec_stmts:
+        if s.decl is not None and s.decl.name:
+            result_vars.append(s.decl.name)
+        elif (s.assign is not None and "ecrecover" in s.assign.rhs
+              and _nospace(s.assign.lhs) == s.assign.lhs_base):
+            result_vars.append(s.assign.lhs_base)
+    var_patterns = [p for v in map(re.escape, result_vars)
+                    for p in (rf"(?<![\w$]){v}==({_IDENT})", rf"({_IDENT})=={v}(?![\w$])")]
+    compare_stmt = None
+    comparands = []
+    for s in fn.body:
+        flat = _nospace(s.text)
+        patterns = var_patterns
+        if "ecrecover" in flat and "==" in flat:
+            patterns = var_patterns + [rf"\)==({_IDENT})", rf"({_IDENT})==ecrecover\("]
+        for pattern in patterns:
+            for m in re.finditer(pattern, flat):
+                comparands.append(m.group(1))
+                compare_stmt = compare_stmt or s
+    if compare_stmt is None:
+        return
+    guards = GuardIndex(fn.guards, ADDRESS_VS_ZERO)
+    if not guards.checked(n for n in result_vars + comparands if n):
+        yield _anchor(compare_stmt), (
+            "ecrecover result is matched against a supplied address with "
+            "no zero-address rejection; a bad signature recovers 0x0 and "
+            "matches a zero input")
+
+
+_REFERENCE_RULES = {
+    "A-a-W": _reference_wrong_operator("A-a-W"),
+    "A-a-IS": _per_function("A-a-IS", _reference_integer_sign),
+    "E-a-SW": _per_function("E-a-SW", _reference_wrong_signature_guard),
+}
+
+
+@pytest.mark.parametrize("bug_id", sorted(_REFERENCE_RULES))
+@_SETTINGS
+@given(source=_IN_FUNCTION | _SOLIDITY_ISH)
+# one input on which each rule finds something, as the soup rarely does
+@example(source="uint x =- 1; contract C { uint a =+ 2; function f() public "
+                "{ x =-y; x ==- 1; x = -1; x=-/* c */now; } }")
+@example(source="contract C { int8 y; function f() public { uint8(y); uint(-1); "
+                "require(y >= 0); uint(y); uint256 z = uint256(y - 1); } }")
+@example(source="contract C { function f(bytes32 h, uint8 v, bytes32 r, bytes32 s, "
+                "address o) public { address a = ecrecover(h, v, r, s); "
+                "require(a == o); require(ecrecover(h, v, r, s) == o); } }")
+def test_token_walking_rules_match_the_rules_they_replaced(bug_id, source):
+    model = parse(source, "prop.sol")
+    assert DETECTORS[bug_id].rule(model) == _REFERENCE_RULES[bug_id].rule(model)

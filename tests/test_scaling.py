@@ -1,6 +1,8 @@
 """Parse and detection cost grow linearly: input 8x larger on one axis
 (functions per contract, contracts per file, nesting depth, guarded units
-in one body) may cost at most 12x.
+in one body) may cost at most 12x.  Detection is timed on the functions
+and contracts axes too, since the wrong-operator rule reads the whole
+token stream.
 
 The 1x side is timed as eight runs in a row, kept alive like the 8x
 result, so both sides run equally long and hold equally much output;
@@ -10,6 +12,7 @@ count against the ratio.
 """
 
 import time
+from functools import partial
 
 import pytest
 
@@ -23,6 +26,7 @@ _FUNCTION = """
     function pay{i}(uint256 amount, address to) public {{
         require(amount > {i});
         if (amount > total) {{ total += amount; }}
+        total =- amount;
         to.transfer(amount);
     }}
 """
@@ -96,16 +100,22 @@ def guarded_source(n, nested):
             % (opens, "        }\n" * n if nested else ""))
 
 
-@pytest.mark.parametrize("nested", [False, True], ids=["guards", "depth"])
-def test_detect_scales_linearly(nested):
-    small = parse(guarded_source(100, nested))
-    large = parse(guarded_source(800, nested))
+@pytest.mark.parametrize("make, base, findings_at_8x", [
+    (partial(guarded_source, nested=False), 100, 800),
+    (partial(guarded_source, nested=True), 100, 800),
+    (functions_source, 200, 3200),
+    (contracts_source, 200, 3200),
+], ids=["guards", "depth", "functions", "contracts"])
+def test_detect_scales_linearly(make, base, findings_at_8x):
+    # guards, depth: the delta - k casts (the v casts are checked);
+    # functions, contracts: one A-a-W and one E-a-SA finding per function
+    small, large = parse(make(base)), parse(make(8 * base))
     small_s, large_s = [], []
     for _ in range(REPEATS):
         small_s.append(timed(lambda: [detect_all(small) for _ in range(8)])[0] / 8)
         elapsed, findings = timed(lambda: detect_all(large))
         large_s.append(elapsed)
-        assert len(findings) == 800  # the delta - k casts; the v casts are checked
+        assert len(findings) == findings_at_8x
         del findings
     ratio = min(large_s) / min(small_s)
     assert ratio <= BOUND, "8x input took %.1fx as long" % ratio
