@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 clean, 1 policy failure (strict scan found bugs, a benchmark
-gate missed, a watch delivery failed), 2 usage or input errors.
+gate missed, a watch delivery failed), 2 usage or input errors, 141 when
+the reader of standard output went away (``solbuglab scan ... | head``).
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -373,5 +375,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return args.func(args)
 
 
+def run() -> None:
+    """Process entry point of ``python -m solbuglab.cli`` and the ``solbuglab``
+    script: run main(), then exit the process with its code. main() changes
+    nothing process-wide, so tests and library callers run it in process."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a reader that quit
+    # The exit-time collections then skip the heap, and the OS frees it.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,9 @@
-"""Command-line behavior and exit codes, driven in-process."""
+"""Command-line behavior and exit codes, driven in-process, and the process
+boundary: ``python -m solbuglab.cli`` and the console script."""
 
+import ast
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +14,8 @@ import pytest
 from solbuglab import cli, parser, runner
 from solbuglab.corpus import default_manifest_path
 from solbuglab.detectors import DETECTABLE_BUG_IDS
+
+from test_golden import CASES, GOLDEN_DIR
 
 
 @pytest.fixture()
@@ -476,3 +481,77 @@ def test_watch_without_requests_exits_with_a_hint():
     assert done.stdout == ""
     assert done.stderr == ("error: watch needs the requests package; "
                            "install solbuglab[watch]\n")
+
+
+# --- the process boundary ----------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+CORPUS_DIR = os.path.dirname(default_manifest_path())
+
+
+def run_module(*argv, **kwargs):
+    """``python -m solbuglab.cli ARGV`` from the corpus directory."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "solbuglab.cli", *argv],
+                          cwd=CORPUS_DIR, env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["scan_json", "scan_text", "bench_json",
+                                  "catalog_text"])
+def test_process_output_matches_golden(case):
+    done = run_module(*CASES[case], capture_output=True)
+    with open(os.path.join(GOLDEN_DIR, case + ".out"), "rb") as handle:
+        expected = handle.read()
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == expected
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "--strict", "contracts"], 1),
+    (["scan", "--rules", "A-a-W,BOGUS", "contracts"], 2),
+])
+def test_process_exit_codes(argv, code):
+    done = run_module(*argv, capture_output=True)
+    assert done.returncode == code
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reader_that_quits_ends_the_scan_quietly(fmt):
+    # a reader gone before the first write, as in `solbuglab scan ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_module("scan", "--format", fmt, "contracts", stdout=write_end,
+                          stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")  # no traceback
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["catalog"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+    # run() freezes the heap once main() has returned, and then exits
+    probe = ("import atexit, gc, sys; from solbuglab import cli; "
+             "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+             "sys.argv[1:] = ['catalog']; cli.run()")
+    done = run_python(probe)
+    assert done.returncode == 0
+    assert int(done.stderr) > 0
+
+
+def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["solbuglab"]
+    module, _, name = target.partition(":")
+    assert module == cli.__name__
+    with open(cli.__file__, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    main_block = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(main_block) == 1
+    assert [ast.unparse(stmt) for stmt in main_block[0].body] == ["%s()" % name]
+    assert getattr(cli, name) is cli.run

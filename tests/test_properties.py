@@ -56,10 +56,18 @@ _SOLIDITY_ISH = st.lists(
     st.sampled_from(_FRAGMENTS) | st.text(max_size=3), max_size=60
 ).map("".join)
 _SOURCES = _ANY_TEXT | _FILE_TEXT | _SOLIDITY_ISH
+# Whole statements that the token-walking rules find or guard against: a
+# signed local cast to unsigned, an ecrecover result compared, and "=-".
+_STATEMENTS = (
+    "int8 y = -1; uint8(y)", "require(y >= 0)",
+    "address r = ecrecover(h, v, r, s); require(r == o)",
+    "require(r != address(0))", "x =- y",
+)
 # The soup placed in a function's parameter list and body, so that bodies
 # are parsed and partitioned; brackets in it need not balance.
 _IN_FUNCTION = st.tuples(
-    _SOLIDITY_ISH, st.lists(_SOLIDITY_ISH, max_size=4).map("; ".join)
+    _SOLIDITY_ISH,
+    st.lists(_SOLIDITY_ISH | st.sampled_from(_STATEMENTS), max_size=4).map("; ".join)
 ).map(lambda soup: "contract C is B { function f(%s) public { %s } }" % soup)
 
 _SETTINGS = settings(
