@@ -14,7 +14,11 @@ different consequences, three names for one behaviour, and a lone record.
 ``bench_tool_*`` score ``tool_report.json``, which maps native ids, repeats
 a finding, and has findings on an unclaimed kind and on a file outside the
 corpus, so tool reports, merged records and the scoring records are pinned
-too. Every case exits 0 with nothing on stderr. After an intended output change,
+too. ``models`` is not a CLI run: it is one ``repr`` line of the parsed
+model (tokens left out, file name without its directory) for each corpus
+contract, ``non_ascii.sol`` and ``rules.sol``, so that a parser change shows
+every model difference, not only those that reach a finding. Every case
+exits 0 with nothing on stderr. After an intended output change,
 rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
 review the diff.
 """
@@ -28,6 +32,7 @@ import pytest
 
 from solbuglab import cli
 from solbuglab.corpus import default_manifest_path
+from solbuglab.parser import parse_file
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 TOOL_REPORT = os.path.join(GOLDEN_DIR, "tool_report.json")
@@ -52,14 +57,27 @@ CASES = {
     "bench_tool_json": ["bench", "--split-crafted", "--tool", TOOL_REPORT,
                         "--format", "json"],
     "bench_tool_text": ["bench", "--split-crafted", "--tool", TOOL_REPORT],
+    "models": None,
 }
 # Cases that run somewhere other than the corpus directory.
 CWD = {"scan_non_ascii_json": GOLDEN_DIR, "scan_rules_json": GOLDEN_DIR,
        "merge_json": GOLDEN_DIR, "merge_text": GOLDEN_DIR}
 
 
+def _models():
+    """One ``repr`` line per parsed model, corpus contracts first."""
+    contracts = os.path.join(os.path.dirname(default_manifest_path()), "contracts")
+    paths = [os.path.join(contracts, name) for name in sorted(os.listdir(contracts))
+             if name.endswith(".sol")]
+    paths += [os.path.join(GOLDEN_DIR, name) for name in ("non_ascii.sol", "rules.sol")]
+    return "".join(repr(parse_file(path)._replace(file_path=os.path.basename(path))) + "\n"
+                   for path in paths)
+
+
 def _run(case):
     """(exit code, stdout, stderr) of one case's CLI run."""
+    if CASES[case] is None:
+        return 0, _models(), ""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(CWD.get(case) or os.path.dirname(default_manifest_path()))
