@@ -75,6 +75,10 @@ _MARKS = dict.fromkeys(("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", "
                        "compound")
 _MARKS.update({";": ";", "}": "}", "=": "=", "++": "bump", "--": "bump"})
 _CALL_MEMBERS = frozenset(("call", "delegatecall", "callcode", "send", "transfer"))
+# The block headers of a body, each with whether a ``(...)`` group follows
+# its keyword.
+_HEADERS = {"if": True, "for": True, "while": True,
+            "else": False, "do": False, "unchecked": False}
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
@@ -374,23 +378,20 @@ class _BodyParser:
         self.structs = structs
         self.contracts = contracts
         self.diagnostics = diagnostics
-        # (kind, tokens, details) per statement; spans are set by _stretch
-        self.stmts: List[Tuple[StmtKind, Sequence[Token], dict]] = []
+        self.stmts: List[Stmt] = []
         self.guards: List[Guard] = []
+        self.prev_end = body_span[0]  # where the next statement's span starts
 
-    def run(self) -> Tuple[List[Stmt], List[Guard]]:
+    def run(self) -> Tuple[Tuple[Stmt, ...], Tuple[Guard, ...]]:
+        """The body's statements, spans partitioning the body exactly, and
+        its guards."""
+
         bt = self.toks
         i = 0
         while i < len(bt):
             text = bt[i][TEXT]
-            if text == "if":
-                i = self._handle_if(i)
-            elif text == "else":
-                i = self._handle_header(i, i + 1)
-            elif text in ("for", "while"):
-                i = self._handle_loop(i)
-            elif text in ("do", "unchecked"):
-                i = self._handle_header(i, i + 1)
+            if text in _HEADERS:
+                i = self._handle_header(i)
             elif text == "assembly":
                 i = self._handle_assembly(i)
             elif text in ("{", "}"):
@@ -398,35 +399,36 @@ class _BodyParser:
                 i += 1
             else:
                 i = self._handle_simple(i)
-        return self._stretch(), self.guards
+        lo, hi = self.body_span
+        if self.stmts:
+            last = self.stmts[-1]
+            if last.span[1] < hi:
+                self.stmts[-1] = last._replace(span=(last.span[0], hi))
+        elif hi > lo:
+            self.stmts.append(Stmt(kind=StmtKind.OPAQUE, span=(lo, hi), text=""))
+        return tuple(self.stmts), tuple(self.guards)
 
-    def _handle_if(self, i: int) -> int:
-        bt = self.toks
-        guard, close = _guard("if", bt, i + 1, (bt[i][START], bt[i][END]))
-        last = min(close, len(bt) - 1)
-        if last + 1 < len(bt) and bt[last + 1][TEXT] == "{":
-            last += 1
-        slice_ = bt[i : last + 1]
-        self._emit(StmtKind.IF_GUARD, slice_, call=_scan_call(slice_))
-        self.guards.append(guard)
-        return last + 1
+    def _handle_header(self, i: int) -> int:
+        """A block header: its keyword, the ``(...)`` group if the keyword
+        takes one, and a ``{`` that follows."""
 
-    def _handle_loop(self, i: int) -> int:
         bt = self.toks
+        kw = bt[i][TEXT]
         after = i + 1
-        if after < len(bt) and bt[after][TEXT] == "(":
+        if kw == "if":
+            guard, close = _guard("if", bt, after, (bt[i][START], bt[i][END]))
+            self.guards.append(guard)
+            after = min(close + 1, len(bt))
+        elif _HEADERS[kw] and after < len(bt) and bt[after][TEXT] == "(":
             after = _skip_group(bt, after, len(bt))
-        return self._handle_header(i, after)
-
-    def _handle_header(self, i: int, after: int) -> int:
-        """Emit an opaque header (else/do/loop), absorbing a trailing brace."""
-
-        bt = self.toks
-        last = after - 1
         if after < len(bt) and bt[after][TEXT] == "{":
-            last = after
-        self._emit(StmtKind.OPAQUE, bt[i : last + 1])
-        return last + 1
+            after += 1
+        slice_ = bt[i:after]
+        if kw == "if":
+            self._emit(StmtKind.IF_GUARD, slice_, call=_scan_call(slice_))
+        else:
+            self._emit(StmtKind.OPAQUE, slice_)
+        return after
 
     def _handle_assembly(self, i: int) -> int:
         end = _skip_group(self.toks, _skip_to(self.toks, i, ("{",)), len(self.toks))
@@ -449,7 +451,10 @@ class _BodyParser:
         return end
 
     def _emit(self, kind: StmtKind, slice_: Sequence[Token], **details) -> None:
-        self.stmts.append((kind, slice_, details))
+        end = slice_[-1][END]
+        self.stmts.append(Stmt(kind=kind, span=(self.prev_end, end), text=_join(slice_),
+                               tokens=tuple(slice_), **details))
+        self.prev_end = end
 
     def _classify_and_emit(self, slice_: Sequence[Token], marks: Dict[str, int]) -> None:
         core = slice_[:-1] if slice_ and slice_[-1][TEXT] == ";" else slice_
@@ -511,31 +516,6 @@ class _BodyParser:
         return AssignDetail(lhs=_join(lhs), rhs=_join(rhs), lhs_base=base,
                             lhs_is_state_var=base in self.state_vars)
 
-    def _stretch(self) -> List[Stmt]:
-        """Re-span statements so they exactly partition the body interior."""
-
-        lo, hi = self.body_span
-        if not self.stmts:
-            if hi > lo:
-                return [Stmt(kind=StmtKind.OPAQUE, span=(lo, hi), text="")]
-            return []
-        out: List[Stmt] = []
-        prev_end = lo
-        last = len(self.stmts) - 1
-        for idx, (kind, slice_, details) in enumerate(self.stmts):
-            end = slice_[-1][END] if idx < last else max(slice_[-1][END], hi)
-            out.append(
-                Stmt(
-                    kind=kind,
-                    span=(prev_end, end),
-                    text=_join(slice_),
-                    tokens=tuple(slice_),
-                    **details,
-                )
-            )
-            prev_end = end
-        return out
-
 
 def _collect_global_names(sig: Sequence[Token]) -> Tuple[Set[str], Set[str]]:
     structs: Set[str] = set()
@@ -549,18 +529,6 @@ def _collect_global_names(sig: Sequence[Token]) -> Tuple[Set[str], Set[str]]:
         ):
             contracts.add(sig[i + 1][TEXT])
     return structs, contracts
-
-
-class _FunctionRaw:
-    def __init__(self):
-        self.name = ""
-        self.params: Tuple[VarDecl, ...] = ()
-        self.visibility = Visibility.DEFAULT
-        self.is_fallback = False
-        self.has_body = True
-        self.span: Span = (0, 0)
-        self.body_span: Span = (0, 0)
-        self.body_toks: List[Token] = []
 
 
 def _parse_params(
@@ -582,36 +550,37 @@ def _parse_function_header(
     structs: Set[str],
     contracts: Set[str],
     diagnostics: List[Diagnostic],
-) -> Tuple[_FunctionRaw, int]:
-    """Parse the function starting at ``sig[i]``, reading no token at or
-    past ``end`` (the enclosing contract's closing brace)."""
+) -> Tuple[FunctionDecl, Sequence[Token], int]:
+    """The function starting at ``sig[i]``, with no body statements or
+    guards yet; its body tokens; and the index past it.  Reads no token at
+    or past ``end`` (the enclosing contract's closing brace)."""
 
-    fn = _FunctionRaw()
-    start_tok = sig[i]
-    kw = start_tok[TEXT]
+    start = sig[i][START]
+    name = sig[i][TEXT]
     k = i + 1
-    if kw == "function":
+    if name == "function":
+        name = ""
         if k < end and _is_word(sig[k]):
-            fn.name = sig[k][TEXT]
+            name = sig[k][TEXT]
             k += 1
-    else:
-        fn.name = kw if kw != "constructor" else "constructor"
-    fn.is_fallback = fn.name in ("", "fallback", "receive")
+    is_fallback = name in ("", "fallback", "receive")
 
+    params: Tuple[VarDecl, ...] = ()
     if k < end and sig[k][TEXT] == "(":
         close = _find_matching(sig, k, end)
         if close >= end:
             diagnostics.append(
-                Diagnostic("unclosed parameter list", (start_tok[START], sig[end - 1][END]))
+                Diagnostic("unclosed parameter list", (start, sig[end - 1][END]))
             )
             close = end - 1
-        fn.params = _parse_params(sig[k + 1 : close], structs, contracts)
+        params = _parse_params(sig[k + 1 : close], structs, contracts)
         k = close + 1
 
+    visibility = Visibility.DEFAULT
     while k < end and sig[k][TEXT] not in ("{", ";"):
         text = sig[k][TEXT]
         if text in _VISIBILITY:
-            fn.visibility = _VISIBILITY[text]
+            visibility = _VISIBILITY[text]
             k += 1
         elif text == "payable":  # stepped over alone, even when "(" follows
             k += 1
@@ -620,38 +589,25 @@ def _parse_function_header(
         else:
             k += 1
 
-    if k >= end:
-        fn.has_body = False
-        fn.span = (start_tok[START], sig[end - 1][END])
-        fn.body_span = (sig[end - 1][END], sig[end - 1][END])
-        return fn, end
-
-    if sig[k][TEXT] == ";":
-        fn.has_body = False
-        fn.span = (start_tok[START], sig[k][END])
-        fn.body_span = (sig[k][END], sig[k][END])
-        return fn, k + 1
+    if k >= end or sig[k][TEXT] == ";":  # no body: ends at its ";" or at ``end``
+        last = sig[min(k, end - 1)][END]
+        return (FunctionDecl(name, params, visibility, (), (start, last), (last, last),
+                             is_fallback, has_body=False), (), min(k + 1, end))
 
     close = _find_matching(sig, k, end)
     if close >= end:
         diagnostics.append(
-            Diagnostic("unclosed function body", (start_tok[START], sig[end - 1][END]))
+            Diagnostic("unclosed function body", (start, sig[end - 1][END]))
         )
         close = end - 1
-    fn.body_toks = sig[k + 1 : close]
-    fn.body_span = (sig[k][END], sig[close][START])
-    fn.span = (start_tok[START], sig[close][END])
-    return fn, close + 1
+    fn = FunctionDecl(name, params, visibility, (), (start, sig[close][END]),
+                      (sig[k][END], sig[close][START]), is_fallback)
+    return fn, sig[k + 1 : close], close + 1
 
 
-class _ContractRaw:
-    def __init__(self, kind: str, name: str):
-        self.kind = kind
-        self.name = name
-        self.bases: List[str] = []
-        self.span: Span = (0, 0)
-        self.state_vars: List[VarDecl] = []
-        self.functions: List[_FunctionRaw] = []
+# A contract whose functions have no body statements yet, its base names,
+# and each function's body tokens.
+_Parsed = Tuple[ContractDecl, List[str], List[Sequence[Token]]]
 
 
 def _parse_contract(
@@ -660,39 +616,45 @@ def _parse_contract(
     structs: Set[str],
     contracts: Set[str],
     diagnostics: List[Diagnostic],
-) -> Tuple[Optional[_ContractRaw], int]:
+) -> Tuple[Optional[_Parsed], int]:
+    """The contract starting at ``sig[i]`` (None for a declaration with no
+    body), and the index past it."""
+
     kind = sig[i][TEXT]
-    start_tok = sig[i]
+    start = sig[i][START]
     name = "<anonymous>"
     k = i + 1
     if k < len(sig) and _is_word(sig[k]):
         name = sig[k][TEXT]
         k += 1
-    raw = _ContractRaw(kind, name)
 
     open_ = _skip_to(sig, k, ("{", ";"))
     if open_ >= len(sig) or sig[open_][TEXT] == ";":
         # forward declaration or garbage; nothing to record
         return None, (open_ + 1 if open_ < len(sig) else len(sig))
+    bases: List[str] = []
     if any(t[TEXT] == "is" for t in sig[k:open_]):
-        raw.bases = [sig[j][TEXT] for j in _top_level(sig, k, open_)
-                     if sig[j][KIND] == TokenKind.IDENTIFIER]
+        bases = [sig[j][TEXT] for j in _top_level(sig, k, open_)
+                 if sig[j][KIND] == TokenKind.IDENTIFIER]
     close = _find_matching(sig, open_)
     if close >= len(sig):
         diagnostics.append(
-            Diagnostic(f"unclosed {kind} body", (start_tok[START], sig[-1][END]))
+            Diagnostic(f"unclosed {kind} body", (start, sig[-1][END]))
         )
         close = len(sig) - 1
-    raw.span = (start_tok[START], sig[close][END])
 
+    state_vars: List[VarDecl] = []
+    functions: List[FunctionDecl] = []
+    bodies: List[Sequence[Token]] = []
     j = open_ + 1
     while j < close:
         text = sig[j][TEXT]
         if text in ("function", "constructor", "fallback", "receive"):
-            fn, j = _parse_function_header(
+            fn, body, j = _parse_function_header(
                 sig, j, close, structs, contracts, diagnostics
             )
-            raw.functions.append(fn)
+            functions.append(fn)
+            bodies.append(body)
         elif text == "modifier":
             stop = _skip_to(sig, j, ("{", ";"))
             if stop >= close or sig[stop][TEXT] == ";":
@@ -707,9 +669,11 @@ def _parse_contract(
             end, marks = _walk_marks(sig, j, close, (";",))
             decl = _parse_var_decl(sig[j:end], marks.get("="), structs, contracts, member=True)
             if decl is not None:
-                raw.state_vars.append(decl)
+                state_vars.append(decl)
             j = end + 1
-    return raw, close + 1
+    contract = ContractDecl(name, kind, tuple(state_vars), tuple(functions),
+                            (start, sig[close][END]))
+    return (contract, bases, bodies), close + 1
 
 
 def _state_names(name: str, own_vars: Dict[str, Set[str]],
@@ -735,7 +699,7 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
 
     pragma: Optional[PragmaConstraint] = None
     has_directive = False  # a ``pragma solidity`` was seen, parseable or not
-    raws: List[_ContractRaw] = []
+    parsed: List[_Parsed] = []
     i = 0
     while i < len(sig):
         text = sig[i][TEXT]
@@ -756,9 +720,9 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
                     )
             i = end + 1
         elif text in ("contract", "library", "interface"):
-            raw, i = _parse_contract(sig, i, structs, contract_names, diagnostics)
-            if raw is not None:
-                raws.append(raw)
+            found, i = _parse_contract(sig, i, structs, contract_names, diagnostics)
+            if found is not None:
+                parsed.append(found)
         elif text in ("import", "using"):
             i = _skip_to(sig, i, (";",)) + 1
         elif text == "struct":
@@ -775,40 +739,17 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
                 else "contradictory version pragmas match no compiler", (0, 0)))
         pragma = ANY_VERSION
 
-    own_vars = {r.name: {v.name for v in r.state_vars} for r in raws}
-    bases_of = {r.name: r.bases for r in raws}
+    own_vars = {c.name: {v.name for v in c.state_vars} for c, _, _ in parsed}
+    bases_of = {c.name: bases for c, bases, _ in parsed}
     contracts: List[ContractDecl] = []
-    for raw in raws:
-        state_names = _state_names(raw.name, own_vars, bases_of, set())
+    for contract, _, bodies in parsed:
+        state_names = _state_names(contract.name, own_vars, bases_of, set())
         functions: List[FunctionDecl] = []
-        for fn in raw.functions:
-            body_parser = _BodyParser(
-                fn.body_toks, fn.body_span, state_names, structs,
-                contract_names, diagnostics,
-            )
-            stmts, guards = body_parser.run()
-            functions.append(
-                FunctionDecl(
-                    name=fn.name,
-                    params=fn.params,
-                    visibility=fn.visibility,
-                    body=tuple(stmts),
-                    span=fn.span,
-                    body_span=fn.body_span,
-                    is_fallback=fn.is_fallback,
-                    has_body=fn.has_body,
-                    guards=tuple(guards),
-                )
-            )
-        contracts.append(
-            ContractDecl(
-                name=raw.name,
-                kind=raw.kind,
-                state_vars=tuple(raw.state_vars),
-                functions=tuple(functions),
-                span=raw.span,
-            )
-        )
+        for fn, body_toks in zip(contract.functions, bodies):
+            body, guards = _BodyParser(body_toks, fn.body_span, state_names, structs,
+                                       contract_names, diagnostics).run()
+            functions.append(fn._replace(body=body, guards=guards))
+        contracts.append(contract._replace(functions=tuple(functions)))
 
     return SourceModel(
         file_path=file_path,
