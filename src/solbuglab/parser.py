@@ -14,6 +14,9 @@ bracket, counting that bracket's kind only (``_find_matching``).  An index
 is at the top level of a token range when no bracket opened earlier in the
 range is still open there (``_top_level``): the three kinds count together,
 so ``(a]`` is a closed group, and a closer with nothing open is ignored.
+An unclosed group runs to its bound and takes no token as its closer: a
+contract to the end of input, a parameter list or function body to the end
+of its contract.
 Statement ends, parameter and base lists, call-option keys and the
 operators that classify a statement are all read at the top level.  A body
 statement is classified from the one top-level walk that finds its end: the
@@ -572,7 +575,6 @@ def _parse_function_header(
             diagnostics.append(
                 Diagnostic("unclosed parameter list", (start, sig[end - 1][END]))
             )
-            close = end - 1
         params = _parse_params(sig[k + 1 : close], structs, contracts)
         k = close + 1
 
@@ -595,13 +597,13 @@ def _parse_function_header(
                              is_fallback, has_body=False), (), min(k + 1, end))
 
     close = _find_matching(sig, k, end)
-    if close >= end:
-        diagnostics.append(
-            Diagnostic("unclosed function body", (start, sig[end - 1][END]))
-        )
-        close = end - 1
-    fn = FunctionDecl(name, params, visibility, (), (start, sig[close][END]),
-                      (sig[k][END], sig[close][START]), is_fallback)
+    if close < end:
+        span_end, body_end = sig[close][END], sig[close][START]
+    else:
+        span_end = body_end = sig[end - 1][END]
+        diagnostics.append(Diagnostic("unclosed function body", (start, span_end)))
+    fn = FunctionDecl(name, params, visibility, (), (start, span_end),
+                      (sig[k][END], body_end), is_fallback)
     return fn, sig[k + 1 : close], close + 1
 
 
@@ -641,7 +643,6 @@ def _parse_contract(
         diagnostics.append(
             Diagnostic(f"unclosed {kind} body", (start, sig[-1][END]))
         )
-        close = len(sig) - 1
 
     state_vars: List[VarDecl] = []
     functions: List[FunctionDecl] = []
@@ -672,7 +673,7 @@ def _parse_contract(
                 state_vars.append(decl)
             j = end + 1
     contract = ContractDecl(name, kind, tuple(state_vars), tuple(functions),
-                            (start, sig[close][END]))
+                            (start, sig[min(close, len(sig) - 1)][END]))
     return (contract, bases, bodies), close + 1
 
 

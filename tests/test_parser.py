@@ -19,7 +19,7 @@ from conftest import fixture_source
 def body_partition_holds(fn):
     lo, hi = fn.body_span
     if hi <= lo:
-        return not fn.body
+        return hi == lo and not fn.body
     if not fn.body:
         return False
     spans = [s.span for s in fn.body]
@@ -260,6 +260,24 @@ def test_garbage_tolerated():
     (fn,) = model3.contracts[0].functions
     assert [s.text for s in fn.body] == ["x = ( a ] ;", "y = 1 ;"]
     assert body_partition_holds(fn)
+
+
+@pytest.mark.parametrize("source, texts, params, diagnostics", [
+    # the function finds its own ``}``; the contract runs to the end of input
+    ("contract C { function f() { }", [""], [], ["unclosed contract body"]),
+    ("contract C { function f() { x = 1; }", ["x = 1 ;"], [], ["unclosed contract body"]),
+    # the parameter list runs to the contract's ``}``
+    ("contract C { function f(uint a }", [], ["a"], ["unclosed parameter list"]),
+])
+def test_unclosed_group_runs_to_its_bound(source, texts, params, diagnostics):
+    model = parse("pragma solidity ^0.4.24;\n" + source)
+    (contract,) = model.contracts
+    (fn,) = contract.functions
+    assert contract.span == (25, len(source) + 25)
+    assert body_partition_holds(fn)
+    assert [s.text for s in fn.body] == texts
+    assert [p.name for p in fn.params] == params
+    assert [d.message for d in model.diagnostics] == diagnostics
 
 
 def test_partition_on_all_fixtures(manifest):

@@ -192,11 +192,14 @@ def test_lex_matches_the_finditer_lexer_and_shares_atoms(source):
 
 @_SETTINGS
 @given(_SOURCES | _IN_FUNCTION)
+@example("contract C { function f() { }")  # an unclosed contract, a closed body
 def test_parse_is_total_deterministic_and_partitions_bodies(source):
     model = parse(source, "prop.sol")
     assert parse(source, "prop.sol") == model
     for contract in model.contracts:
         for fn in contract.functions:
+            assert (contract.span[0] <= fn.span[0] <= fn.body_span[0]
+                    <= fn.body_span[1] <= fn.span[1] <= contract.span[1]), fn.name
             if fn.has_body:
                 assert body_partition_holds(fn), fn.name
 
