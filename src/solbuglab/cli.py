@@ -298,23 +298,19 @@ def _cmd_watch(args) -> int:
         client = collector.HttpSearchClient(config)
     print("watching %d keyword(s), checking every %d day(s)"
           % (len(config.keywords), config.interval_days))
+    failed = False
     try:
-        if args.once:
-            result = collector.run_cycle(config, client)
-            results = [result]
-        else:
-            results = collector.watch_loop(config, client)
+        for result in collector.watch_loop(config, client, cycles=1 if args.once else None):
+            changes = result.changes
+            print("%s: %d added, %d updated, %d removed"
+                  % (result.status, len(changes.added), len(changes.updated),
+                     len(changes.removed)), flush=True)
+            failed = failed or result.status != "ok"
+    except BrokenPipeError:
+        raise  # a reader that quit: run() exits quietly
     except (RuntimeError, OSError, collector.StateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    failed = False
-    for result in results:
-        changes = result.changes
-        print("%s: %d added, %d updated, %d removed"
-              % (result.status, len(changes.added), len(changes.updated),
-                 len(changes.removed)))
-        if result.status != "ok":
-            failed = True
     return 1 if failed else 0
 
 

@@ -12,7 +12,7 @@ import sys
 import tempfile
 import time
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 import requests
@@ -401,17 +401,13 @@ def watch_loop(config: WatchConfig, client, cycles: Optional[int] = None,
                sleep: Optional[Callable[[float], None]] = None,
                clock: Callable[[], str] = default_clock,
                http_post: Callable = requests.post,
-               out=None) -> List[CycleResult]:
+               out=None) -> Iterator[CycleResult]:
     """Run cycles forever, or a fixed number of them, sleeping the
-    configured interval in between."""
+    configured interval in between; yield each result as its cycle ends."""
     sleep = sleep if sleep is not None else time.sleep
-    results: List[CycleResult] = []
     count = 0
     while cycles is None or count < cycles:
-        results.append(run_cycle(config, client, clock=clock,
-                                 http_post=http_post, out=out))
+        if count:
+            sleep(config.interval_days * 86400.0)
+        yield run_cycle(config, client, clock=clock, http_post=http_post, out=out)
         count += 1
-        if cycles is not None and count >= cycles:
-            break
-        sleep(config.interval_days * 86400.0)
-    return results

@@ -386,6 +386,33 @@ def test_watch_once_with_replay(capsys, tmp_path):
     assert os.path.exists(str(tmp_path / "state.json"))
 
 
+def test_watch_reports_each_cycle_as_it_ends(capsys, monkeypatch, tmp_path):
+    from solbuglab import collector
+
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"k": []}), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "interval_days": 2,
+                                  "state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    naps = []
+
+    def sleep(seconds):
+        naps.append(seconds)
+        if len(naps) == 2:  # interrupted after the second cycle
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(collector.time, "sleep", sleep)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["watch", "--config", str(config), "--replay", str(replay)])
+    assert capsys.readouterr().out.splitlines() == [
+        "watching 1 keyword(s), checking every 2 day(s)",
+        "ok: 0 added, 0 updated, 0 removed",
+        "ok: 0 added, 0 updated, 0 removed",
+    ]
+    assert naps == [2 * 86400.0] * 2
+
+
 def test_watch_auth_failure(capsys, tmp_path):
     replay = tmp_path / "replay.json"
     replay.write_text(json.dumps({"smart contract tools": {"error": "auth"}}),
@@ -526,6 +553,26 @@ def test_reader_that_quits_ends_the_scan_quietly(fmt):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")  # no traceback
+
+
+def test_watch_leaves_a_closed_pipe_to_the_entry_point(monkeypatch, tmp_path):
+    # a reader that quits after the first line: run() then exits quietly
+    class Closed:
+        def write(self, text):
+            if text.startswith("ok"):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"k": []}), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["watch", "--once", "--config", str(config), "--replay", str(replay)])
 
 
 def test_only_the_process_entry_freezes_the_heap(capsys):

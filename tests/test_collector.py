@@ -201,8 +201,8 @@ def test_watch_loop_sleeps_interval(tmp_path):
                          state_path=str(tmp_path / "s.json"))
     client = RecordedSearchClient({"k": []})
     naps = []
-    results = watch_loop(config, client, cycles=3, sleep=naps.append,
-                         clock=lambda: "t")
+    results = list(watch_loop(config, client, cycles=3, sleep=naps.append,
+                              clock=lambda: "t"))
     assert len(results) == 3
     assert naps == [3 * 86400.0, 3 * 86400.0]
 
