@@ -44,13 +44,6 @@ class Token(NamedTuple):
     start: int
     end: int
 
-    @property
-    def span(self) -> Tuple[int, int]:
-        return (self.start, self.end)
-
-    def is_code(self) -> bool:
-        return self.kind not in _TRIVIA
-
 
 # A module constant: attribute lookups on an Enum class are slow.
 _TRIVIA = (TokenKind.WHITESPACE, TokenKind.COMMENT)

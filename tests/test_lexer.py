@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from solbuglab.lexer import TokenKind, code_tokens, lex
+from solbuglab.lexer import _TRIVIA, KIND, START, TokenKind, code_tokens, lex
 
 
 def kinds(tokens):
@@ -42,8 +42,8 @@ def test_spans_by_hand():
                 ("=", 7, 8), (" ", 8, 9), ("1", 9, 10), (";", 10, 11),
                 (" ", 11, 12), ("// note", 12, 19)]
     assert [(t.text, t.start, t.end) for t in tokens] == expected
-    assert tokens[0].span == (0, 4)
-    assert tokens[0].is_code() and not tokens[-1].is_code()
+    assert tokens[0][START:] == (0, 4)
+    assert tokens[0][KIND] not in _TRIVIA and tokens[-1][KIND] in _TRIVIA
 
 
 def test_wrong_operator_adjacency_preserved():
@@ -114,14 +114,14 @@ def test_digit_outside_decimal_class_is_punctuation():
     tokens = code_tokens(lex("uint x = ²;"))
     assert [(t.kind, t.text) for t in tokens[3:]] == [
         (TokenKind.PUNCTUATION, "²"), (TokenKind.PUNCTUATION, ";")]
-    assert tokens[3].span == (9, 11)
+    assert tokens[3][START:] == (9, 11)
 
 
 def test_lone_surrogate_keeps_spans_contiguous():
     source = "a\ud800b\udc80"
     tokens = lex(source)
     assert "".join(t.text for t in tokens) == source
-    assert [t.span for t in tokens] == [(0, 1), (1, 4), (4, 5), (5, 6)]
+    assert [t[START:] for t in tokens] == [(0, 1), (1, 4), (4, 5), (5, 6)]
 
 
 _FUZZ_PIECES = [

@@ -28,7 +28,7 @@ from solbuglab.detectors import (
     _per_function,
     _snippet,
 )
-from solbuglab.lexer import Token, TokenKind, _classify_word, lex
+from solbuglab.lexer import _TRIVIA, Token, TokenKind, _classify_word, lex
 from solbuglab.model import Guard, TypeClass
 from solbuglab.parser import _find_matching, parse
 
@@ -410,8 +410,8 @@ def _reference_wrong_operator(bug_id):
             if (prev is not None and prev.kind is TokenKind.PUNCTUATION
                     and prev.end == tok.start and prev.text[-1] in _PREV_EXCLUDE):
                 continue
-            operand = next((toks[j] for j in range(i + 2, len(toks)) if toks[j].is_code()),
-                           None)
+            operand = next((toks[j] for j in range(i + 2, len(toks))
+                            if toks[j].kind not in _TRIVIA), None)
             if operand is None or not (
                     operand.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
                     or operand.text in _SIGN_OPERANDS):
