@@ -384,6 +384,8 @@ class _BodyParser:
         self.stmts: List[Stmt] = []
         self.guards: List[Guard] = []
         self.prev_end = body_span[0]  # where the next statement's span starts
+        # the statement holding the last token runs to the body's end
+        self.last_end = toks[-1][END] if toks else None
 
     def run(self) -> Tuple[Tuple[Stmt, ...], Tuple[Guard, ...]]:
         """The body's statements, spans partitioning the body exactly, and
@@ -403,11 +405,7 @@ class _BodyParser:
             else:
                 i = self._handle_simple(i)
         lo, hi = self.body_span
-        if self.stmts:
-            last = self.stmts[-1]
-            if last.span[1] < hi:
-                self.stmts[-1] = last._replace(span=(last.span[0], hi))
-        elif hi > lo:
+        if not bt and hi > lo:
             self.stmts.append(Stmt(kind=StmtKind.OPAQUE, span=(lo, hi), text=""))
         return tuple(self.stmts), tuple(self.guards)
 
@@ -455,6 +453,8 @@ class _BodyParser:
 
     def _emit(self, kind: StmtKind, slice_: Sequence[Token], **details) -> None:
         end = slice_[-1][END]
+        if end == self.last_end:
+            end = self.body_span[1]
         self.stmts.append(Stmt(kind=kind, span=(self.prev_end, end), text=_join(slice_),
                                tokens=tuple(slice_), **details))
         self.prev_end = end
@@ -556,7 +556,8 @@ def _parse_function_header(
 ) -> Tuple[FunctionDecl, Sequence[Token], int]:
     """The function starting at ``sig[i]``, with no body statements or
     guards yet; its body tokens; and the index past it.  Reads no token at
-    or past ``end`` (the enclosing contract's closing brace)."""
+    or past ``end``: the enclosing contract's closing brace, or the end of
+    input if the contract has none."""
 
     start = sig[i][START]
     name = sig[i][TEXT]
