@@ -562,9 +562,6 @@ def test_watch_leaves_a_closed_pipe_to_the_entry_point(monkeypatch, tmp_path):
             if text.startswith("ok"):
                 raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
-        def flush(self):
-            pass
-
     replay = tmp_path / "replay.json"
     replay.write_text(json.dumps({"k": []}), encoding="utf-8")
     config = tmp_path / "config.json"

@@ -268,7 +268,7 @@ def test_garbage_tolerated():
     ("contract C { function f() { x = 1; }", ["x = 1 ;"], [], ["unclosed contract body"]),
     # the parameter list runs to the contract's ``}``
     ("contract C { function f(uint a }", [], ["a"], ["unclosed parameter list"]),
-])
+], ids=["empty-body", "body-with-statement", "parameter-list"])
 def test_unclosed_group_runs_to_its_bound(source, texts, params, diagnostics):
     model = parse("pragma solidity ^0.4.24;\n" + source)
     (contract,) = model.contracts
