@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 clean, 1 policy failure (strict scan found bugs, a benchmark
-gate missed, a watch delivery failed), 2 usage or input errors, 141 when
-the reader of standard output went away (``solbuglab scan ... | head``).
+gate missed, a watch delivery failed), 2 usage or input errors, 130 when
+interrupted (Ctrl-C), 141 when the reader of standard output went away
+(``solbuglab scan ... | head``).
 """
 
 import argparse
@@ -14,6 +15,7 @@ from typing import List, Optional, Sequence
 
 from . import runner, taxonomy
 from .detectors import DETECTABLE_BUG_IDS, Finding
+from .inputs import InputError, read_json
 from .taxonomy import Severity
 
 # Severity lists the grades worst first; a higher rank is more severe.
@@ -88,30 +90,18 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _input_error(path: str, exc: Exception) -> int:
-    """Report an input file that could not be used; exit code 2. Only a JSON
-    syntax error lacks the file name, which the other errors carry."""
-    if isinstance(exc, json.JSONDecodeError):
-        exc = "%s: %s" % (path, exc)
-    print("error: %s" % exc, file=sys.stderr)
-    return 2
-
-
 def _cmd_bench(args) -> int:
     from . import corpus, evaluation  # only bench scores against a corpus
 
-    manifest_path = args.corpus or corpus.default_manifest_path()
-    try:
-        manifest = corpus.load_manifest(manifest_path)
-    except (OSError, json.JSONDecodeError, corpus.ManifestError) as exc:
-        return _input_error(manifest_path, exc)
-    try:
-        if args.tool == "self":
+    manifest = corpus.load_manifest(args.corpus or corpus.default_manifest_path())
+    if args.tool != "self":
+        tool = evaluation.load_report(args.tool)
+    else:
+        try:
             tool = evaluation.self_report(manifest)
-        else:
-            tool = evaluation.load_report(args.tool)
-    except (OSError, json.JSONDecodeError, evaluation.ReportError) as exc:
-        return _input_error(args.tool, exc)
+        except OSError as exc:  # a corpus file gone since the manifest was read
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     report = evaluation.evaluate(tool, manifest, split_crafted=args.split_crafted)
     if args.format == "json":
         sys.stdout.write(report.to_json())
@@ -226,16 +216,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    try:
-        with open(args.records, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _input_error(args.records, exc)
+    raw = read_json(args.records, "records file", list)
     problems: List[str] = []
     records: List[taxonomy.BugRecord] = []
-    if not isinstance(raw, list):
-        problems.append("records file must hold a JSON list")
-        raw = []
     for index, item in enumerate(raw):
         where = "record %d" % index
         if not isinstance(item, dict):
@@ -255,9 +238,7 @@ def _cmd_merge(args) -> int:
                                           behavior=item["behavior"],
                                           consequence=frozenset(consequence)))
     if problems:
-        for problem in problems:
-            print("error: %s" % problem, file=sys.stderr)
-        return 2
+        raise InputError(args.records, "records file", problems)
     merged = taxonomy.merge_records(records)
     if args.format == "json":
         doc = [
@@ -282,18 +263,9 @@ def _cmd_watch(args) -> int:
               file=sys.stderr)
         return 2
 
-    if args.config:
-        try:
-            config = collector.load_config(args.config)
-        except (OSError, json.JSONDecodeError, collector.ConfigError) as exc:
-            return _input_error(args.config, exc)
-    else:
-        config = collector.WatchConfig()
+    config = collector.load_config(args.config) if args.config else collector.WatchConfig()
     if args.replay:
-        try:
-            client = collector.RecordedSearchClient(args.replay)
-        except (OSError, json.JSONDecodeError, collector.ReplayError) as exc:
-            return _input_error(args.replay, exc)
+        client = collector.RecordedSearchClient(args.replay)
     else:
         client = collector.HttpSearchClient(config)
     print("watching %d keyword(s), checking every %d day(s)"
@@ -308,7 +280,7 @@ def _cmd_watch(args) -> int:
             failed = failed or result.status != "ok"
     except BrokenPipeError:
         raise  # a reader that quit: run() exits quietly
-    except (RuntimeError, OSError, collector.StateError) as exc:
+    except (RuntimeError, OSError) as exc:  # a failed search or state save
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 1 if failed else 0
@@ -366,9 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 def run() -> None:
@@ -382,6 +357,8 @@ def run() -> None:
         # Point stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141  # 128 + SIGPIPE, as a shell reports a reader that quit
+    except KeyboardInterrupt:
+        code = 130  # 128 + SIGINT, as a shell reports an interrupted command
     # The exit-time collections then skip the heap, and the OS frees it.
     gc.freeze()
     sys.exit(code)

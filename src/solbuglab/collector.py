@@ -12,10 +12,12 @@ import sys
 import tempfile
 import time
 from datetime import datetime, timezone
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 from urllib.parse import urlparse
 
 import requests
+
+from .inputs import InputError, read_json
 
 DEFAULT_KEYWORDS = (
     "smart contract vulnerabilities",
@@ -27,23 +29,6 @@ DEFAULT_KEYWORDS = (
 )
 
 DEFAULT_INTERVAL_DAYS = 15
-
-
-class ConfigError(ValueError):
-    """Watch configuration failed validation."""
-
-    def __init__(self, problems: Sequence[str], path: str):
-        self.problems = list(problems)
-        super().__init__("%s: watch config has %d problem(s):\n  %s"
-                         % (path, len(self.problems), "\n  ".join(self.problems)))
-
-
-class StateError(ValueError):
-    """The watch state file holds something other than watch state."""
-
-
-class ReplayError(ValueError):
-    """A replay document is not a mapping of keyword to canned results."""
 
 
 class AuthError(RuntimeError):
@@ -65,11 +50,8 @@ class WatchConfig(NamedTuple):
 def load_config(path: str) -> WatchConfig:
     """Read a config JSON file; every key is optional, every problem is
     reported at once."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = read_json(path, "watch config")
     problems: List[str] = []
-    if not isinstance(raw, dict):
-        raise ConfigError(["config must be a JSON object"], path)
     for key in sorted(set(raw) - set(WatchConfig._fields)):
         problems.append("unknown key %r" % key)
 
@@ -103,7 +85,7 @@ def load_config(path: str) -> WatchConfig:
         else:
             problems.append("notify must be 'stdout' or an http(s) URL")
     if problems:
-        raise ConfigError(problems, path)
+        raise InputError(path, "watch config", problems)
     return WatchConfig(**fields)
 
 
@@ -143,33 +125,31 @@ class HttpSearchClient:
                 response = self._session.get(config.endpoint, params=params,
                                              headers=self._headers(), timeout=30)
             except requests.RequestException as exc:
-                if attempt == config.max_retries:
-                    raise RuntimeError("search request failed after %d retries: %s"
-                                       % (config.max_retries, exc))
-                self._sleep(delay)
-                delay *= 2
-                continue
-            if response.status_code in (401, 403):
-                remaining = response.headers.get("X-RateLimit-Remaining")
-                reset = response.headers.get("X-RateLimit-Reset")
-                if response.status_code == 403 and remaining == "0" and reset:
-                    wait = max(0.0, float(reset) - time.time()) + 1.0
-                    self._sleep(wait)
-                    continue
-                raise AuthError(
-                    "search authentication failed (HTTP %d): set $%s to a valid "
-                    "API token for %s" % (response.status_code,
-                                          config.token_env, config.endpoint))
-            if response.status_code >= 500:
-                if attempt == config.max_retries:
-                    raise RuntimeError("search endpoint kept failing (HTTP %d)"
-                                       % response.status_code)
-                self._sleep(delay)
-                delay *= 2
-                continue
-            response.raise_for_status()
-            return response.json()
-        raise RuntimeError("unreachable")
+                failure = "search request failed after %d retries: %s" % (
+                    config.max_retries, exc)
+            else:
+                if response.status_code in (401, 403):
+                    remaining = response.headers.get("X-RateLimit-Remaining")
+                    reset = response.headers.get("X-RateLimit-Reset")
+                    if response.status_code == 403 and remaining == "0" and reset:
+                        if attempt < config.max_retries:
+                            self._sleep(max(0.0, float(reset) - time.time()) + 1.0)
+                        continue
+                    raise AuthError(
+                        "search authentication failed (HTTP %d): set $%s to a valid "
+                        "API token for %s" % (response.status_code,
+                                              config.token_env, config.endpoint))
+                if response.status_code < 500:
+                    response.raise_for_status()
+                    return response.json()
+                failure = "search endpoint kept failing (HTTP %d)" % response.status_code
+            if attempt == config.max_retries:
+                raise RuntimeError(failure)
+            self._sleep(delay)  # exponential backoff
+            delay *= 2
+        # only a rate limit still in force at the last attempt ends up here
+        raise RuntimeError("search rate limit did not reset after %d retries"
+                           % config.max_retries)
 
     def search(self, keyword: str) -> List[dict]:
         items: List[dict] = []
@@ -189,24 +169,19 @@ class RecordedSearchClient:
     The document maps keyword to a list of result items (JSON objects). A
     mapping value of {"error": "auth"} simulates a credential rejection, and
     any other {"error": ...} value a failed search. Any other document
-    raises ReplayError, naming the file.
+    raises InputError, naming the file.
     """
 
     def __init__(self, source):
         if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            name = source
+            data, name = read_json(source, "replay file"), source
         else:
             data, name = dict(source), "replay"
-        if not isinstance(data, dict):
-            raise ReplayError("%s: replay must be a JSON object mapping keyword "
-                              "to results" % name)
         for keyword, value in data.items():
             if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)
                     or isinstance(value, dict) and "error" in value):
-                raise ReplayError('%s: results for %r must be a list of objects or '
-                                  'an {"error": ...} object' % (name, keyword))
+                raise InputError(name, 'results for %r must be a list of objects or '
+                                 'an {"error": ...} object' % (keyword,))
         self._data = data
 
     def search(self, keyword: str) -> List[dict]:
@@ -312,31 +287,24 @@ def notify_webhook(changes: ChangeSet, url: str,
 
 def load_state(path: str) -> Tuple[Optional[str], Dict[str, ProjectSnapshot]]:
     """Missing state file means a fresh start, not an error. A file that is
-    not watch state raises StateError and is left as it is."""
+    not watch state raises InputError and is left as it is."""
     if not os.path.exists(path):
         return None, {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise StateError("%s: watch state is not valid JSON: %s" % (path, exc)) from None
-    if not isinstance(raw, dict):
-        raise StateError("%s: watch state must be a JSON object, not %s"
-                         % (path, type(raw).__name__))
+    raw = read_json(path, "watch state")
     cursor = raw.get("cursor")
     items = raw.get("projects", [])
     if cursor is not None and not isinstance(cursor, str):
-        raise StateError("%s: watch state cursor must be a string" % path)
+        raise InputError(path, "watch state cursor must be a string")
     if not isinstance(items, list):
-        raise StateError("%s: watch state projects must be a list" % path)
+        raise InputError(path, "watch state projects must be a list")
     projects = {}
     for index, item in enumerate(items):
         if not (isinstance(item, dict)
                 and all(isinstance(item.get(key), str)
                         for key in ("project_id", "last_update"))
                 and isinstance(item.get("matched_keyword", ""), str)):
-            raise StateError("%s: watch state project %d needs string project_id "
-                             "and last_update" % (path, index))
+            raise InputError(path, "watch state project %d needs string project_id "
+                             "and last_update" % index)
         snapshot = ProjectSnapshot(project_id=item["project_id"],
                                    last_update=item["last_update"],
                                    matched_keyword=item.get("matched_keyword", ""))

@@ -10,6 +10,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 
 from .corpus import CorpusManifest, EntryKind
 from .detectors import DETECTABLE_BUG_IDS
+from .inputs import InputError, read_json
 from .runner import scan_files
 from .taxonomy import catalog, catalog_ids
 
@@ -39,10 +40,6 @@ class ConfusionCounts(NamedTuple):
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
-
-class ReportError(ValueError):
-    """An external tool report failed validation."""
 
 
 def coverage(claims: Iterable[str]) -> float:
@@ -228,11 +225,7 @@ def load_report(path: str) -> ToolReport:
     the tool's native ids to catalog ids. Ids that stay unknown after
     mapping fail validation rather than silently vanishing.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if not isinstance(raw, dict):
-        raise ReportError("%s: a tool report must be a JSON object, not %s"
-                          % (path, type(raw).__name__))
+    raw = read_json(path, "tool report")
     problems: List[str] = []
     tool_name = raw.get("tool_name")
     if not isinstance(tool_name, str) or not tool_name:
@@ -281,8 +274,7 @@ def load_report(path: str) -> ToolReport:
         if mapped:
             findings.add((item["file"], mapped))
     if problems:
-        raise ReportError("%s: tool report has %d problem(s):\n  %s"
-                          % (path, len(problems), "\n  ".join(problems)))
+        raise InputError(path, "tool report", problems)
     return ToolReport(tool_name=tool_name,
                       claims=frozenset(claims),
                       findings=frozenset(findings))

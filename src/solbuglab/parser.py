@@ -15,8 +15,9 @@ is at the top level of a token range when no bracket opened earlier in the
 range is still open there (``_top_level``): the three kinds count together,
 so ``(a]`` is a closed group, and a closer with nothing open is ignored.
 An unclosed group runs to its bound and takes no token as its closer: a
-contract to the end of input, a parameter list or function body to the end
-of its contract.
+contract to the next ``contract``, ``library`` or ``interface`` keyword, or
+to the end of input if there is none, and a parameter list or function body
+to the end of its contract.
 Statement ends, parameter and base lists, call-option keys and the
 operators that classify a statement are all read at the top level.  A body
 statement is classified from the one top-level walk that finds its end: the
@@ -556,8 +557,8 @@ def _parse_function_header(
 ) -> Tuple[FunctionDecl, Sequence[Token], int]:
     """The function starting at ``sig[i]``, with no body statements or
     guards yet; its body tokens; and the index past it.  Reads no token at
-    or past ``end``: the enclosing contract's closing brace, or the end of
-    input if the contract has none."""
+    or past ``end``: the enclosing contract's closing brace, or its bound if
+    the contract has none."""
 
     start = sig[i][START]
     name = sig[i][TEXT]
@@ -640,9 +641,11 @@ def _parse_contract(
         bases = [sig[j][TEXT] for j in _top_level(sig, k, open_)
                  if sig[j][KIND] == TokenKind.IDENTIFIER]
     close = _find_matching(sig, open_)
-    if close >= len(sig):
+    resume = close + 1
+    if close >= len(sig):  # unclosed: bounded by the next declaration like it
+        close = resume = _skip_to(sig, open_ + 1, ("contract", "library", "interface"))
         diagnostics.append(
-            Diagnostic(f"unclosed {kind} body", (start, sig[-1][END]))
+            Diagnostic(f"unclosed {kind} body", (start, sig[close - 1][END]))
         )
 
     state_vars: List[VarDecl] = []
@@ -674,8 +677,8 @@ def _parse_contract(
                 state_vars.append(decl)
             j = end + 1
     contract = ContractDecl(name, kind, tuple(state_vars), tuple(functions),
-                            (start, sig[min(close, len(sig) - 1)][END]))
-    return (contract, bases, bodies), close + 1
+                            (start, sig[resume - 1][END]))
+    return (contract, bases, bodies), resume
 
 
 def _state_names(name: str, own_vars: Dict[str, Set[str]],

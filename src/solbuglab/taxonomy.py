@@ -1,9 +1,8 @@
 """Bug kind catalog, severity rubric, and cross-source record merging.
 
 The catalog ships as packaged JSON and is loaded once per process. Severity
-is not stored opinion: every kind carries the effect set it was graded from,
-and grade_severity() recomputes the grade so the two can be checked against
-each other.
+is not stored opinion: every kind carries its effect set, and its severity is
+what grade_severity() makes of that set.
 """
 
 import json
@@ -128,10 +127,6 @@ def _catalog() -> Tuple[Tuple[Category, ...], Tuple[BugKind, ...]]:
             raise CatalogError("%s names unknown category %s" % (bug_id, entry["category"]))
         if bug_id.split("-")[0] != entry["category"]:
             raise CatalogError("%s is filed under category %s" % (bug_id, entry["category"]))
-        try:
-            severity = Severity(entry["severity"])
-        except ValueError:
-            raise CatalogError("%s has unknown severity %r" % (bug_id, entry["severity"])) from None
         effects = frozenset(_parse_effect(e) for e in entry["effects"])
         raw_versions = entry.get("affected_versions")
         affected = ANY_VERSION if raw_versions is None else parse_constraint(raw_versions)
@@ -141,7 +136,7 @@ def _catalog() -> Tuple[Tuple[Category, ...], Tuple[BugKind, ...]]:
             id=bug_id,
             display_name=entry["display_name"],
             category=entry["category"],
-            severity=severity,
+            severity=grade_severity(effects),
             effects=effects,
             affected_versions=affected,
             criteria_text=entry["criteria_text"],

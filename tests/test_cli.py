@@ -6,6 +6,7 @@ import errno
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -245,7 +246,7 @@ def test_bench_input_that_is_not_an_object(capsys, tmp_path, flag, what):
      "tool report has 1 problem(s)"),
     (["bench", "--corpus"], "{,}", "Expecting property name"),
     (["bench", "--corpus"], '{"schema_version": "9", "entries": []}',
-     "manifest has 1 violation(s)"),
+     "manifest has 1 problem(s)"),
     (["merge"], "[", "Expecting value"),
     (["watch", "--once", "--config"], "{", "Expecting property name"),
     (["watch", "--once", "--config"], '{"interval_days": "soon"}',
@@ -293,7 +294,7 @@ def test_bench_manifest_entry_of_wrong_type(capsys, tmp_path, fields, says):
                         encoding="utf-8")
     code, out, err = run_cli(capsys, "bench", "--corpus", str(manifest))
     assert (code, out) == (2, "")
-    assert err == "error: %s: manifest has 1 violation(s):\n  %s\n" % (manifest, says)
+    assert err == "error: %s: manifest has 1 problem(s):\n  %s\n" % (manifest, says)
 
 
 def test_catalog_overview(capsys):
@@ -458,11 +459,14 @@ def test_watch_bad_config(capsys, tmp_path):
     assert "interval_days" in err
 
 
-@pytest.mark.parametrize("state", [
-    "{not json", "[]", '{"cursor": null, "projects": [{"last_update": "t"}]}',
-    '{"cursor": 7}', '{"projects": {}}',
+@pytest.mark.parametrize("state, says", [
+    ("{not json", "Expecting property name enclosed in double quotes"),
+    ("[]", "a watch state must be a JSON object, not list"),
+    ('{"cursor": null, "projects": [{"last_update": "t"}]}', "watch state"),
+    ('{"cursor": 7}', "watch state"),
+    ('{"projects": {}}', "watch state"),
 ], ids=["invalid-json", "not-an-object", "no-project-id", "bad-cursor", "bad-projects"])
-def test_watch_refuses_corrupt_state(capsys, tmp_path, state):
+def test_watch_refuses_corrupt_state(capsys, tmp_path, state, says):
     state_path = tmp_path / "state.json"
     state_path.write_text(state, encoding="utf-8")
     before = state_path.read_bytes()
@@ -474,9 +478,63 @@ def test_watch_refuses_corrupt_state(capsys, tmp_path, state):
     code, _, err = run_cli(capsys, "watch", "--config", str(config),
                            "--replay", str(replay), "--once")
     assert code == 2
-    assert err.startswith("error: %s: watch state" % state_path)
+    assert err.startswith("error: %s: %s" % (state_path, says))
     assert state_path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["config.json", "replay.json", "state.json"]
+
+
+# Every JSON input file, read through one reader: how a command takes it, the
+# top-level type it must have, and a document of that type with one problem.
+_INPUTS = {
+    "bench-corpus": (["bench", "--corpus", "{input}"], dict,
+                     '{"schema_version": "9", "entries": []}'),
+    "bench-tool": (["bench", "--tool", "{input}"], dict,
+                   '{"tool_name": "ext", "claims": ["WHAT"]}'),
+    "merge": (["merge", "{input}"], list, '[{"source": "s1"}]'),
+    "watch-config": (["watch", "--once", "--config", "{input}", "--replay", "{replay}"],
+                     dict, '{"interval_days": "soon"}'),
+    "watch-replay": (["watch", "--once", "--config", "{config}", "--replay", "{input}"],
+                     dict, '{"k": 5}'),
+    "watch-state": (["watch", "--once", "--config", "{config}", "--replay", "{replay}"],
+                    dict, '{"cursor": 7}'),
+}
+_BODIES = {"non-utf8": b'\xff{"k": []}', "invalid-json": b"{not json",
+           "deep-nesting": b"[" * 100000}
+_CASES = ("missing", "directory", *_BODIES, "wrong-type", "content")
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in _INPUTS for case in _CASES
+    if (name, case) != ("watch-state", "missing")  # a fresh start, not an error
+])
+def test_every_bad_input_file_exits_2_naming_it_once(capsys, tmp_path, name, case):
+    argv, kind, content = _INPUTS[name]
+    state = tmp_path / "state.json"
+    bad = state if name == "watch-state" else tmp_path / "input.json"
+    if case == "directory":
+        bad.mkdir()
+    elif case != "missing":
+        bad.write_bytes({"wrong-type": b"{}" if kind is list else b"[]",
+                         "content": content.encode()}.get(case) or _BODIES[case])
+    before = state.read_bytes() if state.is_file() else None
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"k": []}), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "state_path": str(state)}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, *(arg.format(input=bad, replay=replay, config=config)
+                                       for arg in argv))
+    assert code == 2
+    assert err.startswith("error: %s: " % bad)
+    assert err.count("error: ") == 1
+    assert err.count(str(bad)) == 1
+    assert "Traceback" not in err
+    watching = "watching 1 keyword(s), checking every 15 day(s)\n"
+    assert out == (watching if name == "watch-state" else "")
+    if name == "watch-state":
+        assert state.is_dir() if case == "directory" else state.read_bytes() == before
+    else:
+        assert not state.exists()
 
 
 def test_default_corpus_is_bundled():
@@ -553,6 +611,27 @@ def test_reader_that_quits_ends_the_scan_quietly(fmt):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")  # no traceback
+
+
+def test_interrupt_ends_the_watch_quietly(tmp_path):
+    # Ctrl-C while watch sleeps between cycles, as the one way to stop it
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"k": []}), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with subprocess.Popen([sys.executable, "-m", "solbuglab.cli", "watch", "--config",
+                           str(config), "--replay", str(replay)], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline().startswith("watching 1 keyword(s)")
+            assert proc.stdout.readline() == "ok: 0 added, 0 updated, 0 removed\n"
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (130, "")  # 128 + SIGINT, no traceback
 
 
 def test_watch_leaves_a_closed_pipe_to_the_entry_point(monkeypatch, tmp_path):

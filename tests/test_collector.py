@@ -10,7 +10,6 @@ from solbuglab import collector
 from solbuglab.collector import (
     AuthError,
     ChangeSet,
-    ConfigError,
     HttpSearchClient,
     ProjectSnapshot,
     RecordedSearchClient,
@@ -24,6 +23,7 @@ from solbuglab.collector import (
     save_state,
     watch_loop,
 )
+from solbuglab.inputs import InputError
 
 
 def item(full_name, updated, host="github.com"):
@@ -299,6 +299,19 @@ def test_http_client_sleeps_through_rate_limit():
     assert len(naps) == 1
 
 
+def test_http_client_names_a_rate_limit_that_never_resets():
+    config = WatchConfig(max_retries=2)
+    limited = FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
+                                         "X-RateLimit-Reset": "0"})
+    session = FakeSession([limited] * 3)
+    naps = []
+    client = HttpSearchClient(config, session=session, sleep=naps.append)
+    with pytest.raises(RuntimeError) as err:
+        client.search("k")
+    assert str(err.value) == "search rate limit did not reset after 2 retries"
+    assert (len(session.calls), len(naps)) == (3, 2)  # no sleep after the last reply
+
+
 def test_http_client_403_without_rate_limit_is_auth():
     config = WatchConfig()
     session = FakeSession([FakeResponse(403)])
@@ -330,7 +343,7 @@ def test_load_config_reports_every_problem(tmp_path):
         "notify": "gopher://x",
         "mystery": 1,
     }), encoding="utf-8")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InputError) as err:
         load_config(str(path))
     assert len(err.value.problems) == 4
 

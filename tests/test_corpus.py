@@ -8,13 +8,13 @@ import pytest
 from solbuglab import corpus
 from solbuglab.corpus import (
     EntryKind,
-    ManifestError,
     Origin,
     load_manifest,
     select,
     serialize_manifest,
 )
 from solbuglab.detectors import DETECTABLE_BUG_IDS
+from solbuglab.inputs import InputError
 
 
 def test_shipped_corpus_loads(manifest):
@@ -85,13 +85,13 @@ def test_all_violations_reported_together(tmp_path):
             {"kind": "crafted", "origin": "handwritten", "labels": []},
         ],
     })
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(InputError) as err:
         load_manifest(path, require_files=False)
     text = str(err.value)
     for expected in ("schema_version", "junk", "mystery", "nowhere", "Q-q-Q",
                      "strategy", "duplicate path", "missing path"):
         assert expected in text
-    assert len(err.value.violations) >= 7
+    assert len(err.value.problems) >= 7
 
 
 def test_fixed_entry_must_drop_its_label(tmp_path):
@@ -100,7 +100,7 @@ def test_fixed_entry_must_drop_its_label(tmp_path):
         "entries": [{"path": "x.sol", "kind": "fixed", "origin": "modified",
                      "labels": ["F-c-T"], "targets": ["F-c-T"]}],
     })
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(InputError) as err:
         load_manifest(path, require_files=False)
     assert "still labels" in str(err.value)
 
@@ -111,7 +111,7 @@ def test_missing_file_is_a_violation(tmp_path):
         "entries": [{"path": "ghost.sol", "kind": "buggy",
                      "origin": "unchanged", "labels": ["D-a-R"]}],
     })
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(InputError) as err:
         load_manifest(path)
     assert "not found" in str(err.value)
     # same document passes when file checks are deferred
@@ -133,7 +133,7 @@ def test_unreadable_file_is_a_violation(tmp_path, monkeypatch):
         return open(name, *args, **kwargs)
 
     monkeypatch.setattr(corpus, "open", refuse_sources, raising=False)
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(InputError) as err:
         load_manifest(path)
     assert "locked.sol" in str(err.value)
     assert "unreadable: permission denied" in str(err.value)
@@ -156,7 +156,7 @@ def test_expectation_values_validated(tmp_path):
                      "strategy": 1, "labels": ["D-a-R"],
                      "expectations": {"D-a-R": "explodes"}}],
     })
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(InputError) as err:
         load_manifest(path, require_files=False)
     assert "explodes" in str(err.value)
 

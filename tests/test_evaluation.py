@@ -8,7 +8,6 @@ from solbuglab import evaluation
 from solbuglab.corpus import CorpusEntry, CorpusManifest, EntryKind, Origin
 from solbuglab.evaluation import (
     ConfusionCounts,
-    ReportError,
     ToolReport,
     coverage,
     evaluate,
@@ -16,6 +15,7 @@ from solbuglab.evaluation import (
     match,
     self_report,
 )
+from solbuglab.inputs import InputError
 from solbuglab.versions import ANY_VERSION
 
 
@@ -184,7 +184,7 @@ def test_load_report_rejects_unmapped_ids(tmp_path):
         "claims": ["MYSTERY"],
         "findings": [{"file": "a.sol", "bug_id": "MYSTERY"}],
     }), encoding="utf-8")
-    with pytest.raises(ReportError) as err:
+    with pytest.raises(InputError) as err:
         load_report(str(path))
     assert "MYSTERY" in str(err.value)
 

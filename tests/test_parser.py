@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from solbuglab.detectors import detect_all
 from solbuglab.model import (
     StmtKind,
     StorageLocation,
@@ -278,6 +279,26 @@ def test_unclosed_group_runs_to_its_bound(source, texts, params, diagnostics):
     assert [s.text for s in fn.body] == texts
     assert [p.name for p in fn.params] == params
     assert [d.message for d in model.diagnostics] == diagnostics
+
+
+@pytest.mark.parametrize("source, spans, diagnostics, findings", [
+    # A's body runs to ``contract B``, and f's body with it; B is whole
+    ("contract A { uint x; function f() public { contract B { uint y; "
+     "function g() public { msg.sender.call.value(1)(); y = 1; } }",
+     ["contract A { uint x; function f() public {",
+      "contract B { uint y; function g() public { msg.sender.call.value(1)(); y = 1; } }"],
+     ["unclosed contract body", "unclosed function body"], [("D-a-R", "B", "g")]),
+    # the last contract has no later one, so it runs to the end of input
+    ("contract A { } contract B {", ["contract A { }", "contract B {"],
+     ["unclosed contract body"], []),
+], ids=["unclosed-before-contract", "unclosed-last"])
+def test_unclosed_contract_ends_at_the_next_contract(source, spans, diagnostics, findings):
+    text = "pragma solidity ^0.4.24; " + source
+    model = parse(text)
+    assert [c.name for c in model.contracts] == ["A", "B"]
+    assert [text[slice(*c.span)] for c in model.contracts] == spans
+    assert [d.message for d in model.diagnostics] == diagnostics
+    assert [(f.bug_id, f.contract, f.function) for f in detect_all(model)] == findings
 
 
 def test_partition_on_all_fixtures(manifest):

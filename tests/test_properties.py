@@ -28,9 +28,11 @@ from solbuglab.detectors import (
     _per_function,
     _snippet,
 )
-from solbuglab.lexer import _TRIVIA, Token, TokenKind, _classify_word, lex
+from solbuglab.lexer import (
+    _TRIVIA, KIND, TEXT, Token, TokenKind, _classify_word, code_tokens, lex,
+)
 from solbuglab.model import Guard, TypeClass
-from solbuglab.parser import _find_matching, parse
+from solbuglab.parser import _find_matching, _top_level, parse
 
 from test_parser import body_partition_holds
 
@@ -190,10 +192,21 @@ def test_lex_matches_the_finditer_lexer_and_shares_atoms(source):
         assert left.end is right.start
 
 
+def _drop_closing_braces(source: str, count: int) -> str:
+    """``source`` without its last ``count`` ``}``, so that the contracts
+    and bodies they closed stay open."""
+    for _ in range(count):
+        source = "".join(source.rsplit("}", 1))
+    return source
+
+
 @_SETTINGS
-@given(_SOURCES | _IN_FUNCTION)
-@example("contract C { function f() { }")  # an unclosed contract, a closed body
-def test_parse_is_total_deterministic_and_partitions_bodies(source):
+@given(source=_SOURCES | _IN_FUNCTION, unclosed=st.integers(0, 3))
+# an unclosed contract with a closed body; the second of two contracts left open
+@example(source="contract C { function f() { }", unclosed=0)
+@example(source="contract A { } contract B { }", unclosed=1)
+def test_parse_is_total_deterministic_and_partitions_bodies(source, unclosed):
+    source = _drop_closing_braces(source, unclosed)
     model = parse(source, "prop.sol")
     assert parse(source, "prop.sol") == model
     for contract in model.contracts:
@@ -202,6 +215,12 @@ def test_parse_is_total_deterministic_and_partitions_bodies(source):
                     <= fn.body_span[1] <= fn.span[1] <= contract.span[1]), fn.name
             if fn.has_body:
                 assert body_partition_holds(fn), fn.name
+    names = {contract.name for contract in model.contracts}
+    code = code_tokens(model.tokens)
+    for i in _top_level(code, 0, len(code) - 2):
+        if (code[i][TEXT] == "contract" and code[i + 1][KIND] == TokenKind.IDENTIFIER
+                and code[i + 2][TEXT] == "{"):
+            assert code[i + 1][TEXT] in names, code[i + 1][TEXT]
 
 
 # --- guard index against the regex predicates it replaced ------------------

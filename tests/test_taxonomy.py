@@ -61,11 +61,6 @@ def test_version_gates_in_catalog():
         assert not constraint.contains((0, 4, 27))
 
 
-def test_every_kind_grades_to_its_stored_severity():
-    for kind in taxonomy.catalog():
-        assert grade_severity(kind.effects) is kind.severity, kind.id
-
-
 def test_unique_display_names():
     names = [k.display_name for k in taxonomy.catalog()]
     assert len(set(names)) == len(names)
