@@ -34,6 +34,8 @@ def _collect_sol_files(paths: Sequence[str], errors: List[str]) -> List[str]:
                              for name in names if name.endswith(".sol"))
         elif os.path.isfile(path):
             files.append(path)
+        elif os.path.exists(path):
+            errors.append("%s: not a regular file or directory" % path)
         else:
             errors.append("%s: no such file or directory" % path)
     return sorted(set(files))
@@ -286,6 +288,17 @@ def _cmd_watch(args) -> int:
     return 1 if failed else 0
 
 
+def _fraction(text: str) -> float:
+    """A gate value: a number from 0 to 1, NaN excluded."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError("%r is not a number from 0 to 1" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solbuglab",
@@ -312,14 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--split-crafted", action="store_true",
                        help="also score crafted traps separately")
     bench.add_argument("--format", choices=("text", "json"), default="text")
-    bench.add_argument("--min-precision", type=float, default=None)
-    bench.add_argument("--min-recall", type=float, default=None)
+    bench.add_argument("--min-precision", type=_fraction, default=None)
+    bench.add_argument("--min-recall", type=_fraction, default=None)
     bench.set_defaults(func=_cmd_bench)
 
     cat = sub.add_parser("catalog", help="browse the bug kind catalog")
-    cat.add_argument("--list", action="store_true", help="list every kind")
-    cat.add_argument("--category", default=None, help="show one category")
-    cat.add_argument("--kind", default=None, help="show one bug kind in full")
+    shown = cat.add_mutually_exclusive_group()
+    shown.add_argument("--list", action="store_true", help="list every kind")
+    shown.add_argument("--category", default=None, help="show one category")
+    shown.add_argument("--kind", default=None, help="show one bug kind in full")
     cat.add_argument("--format", choices=("text", "json"), default="text")
     cat.set_defaults(func=_cmd_catalog)
 

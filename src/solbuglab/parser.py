@@ -9,15 +9,16 @@ exception.  Unrecognized constructs become opaque statements.  Statement
 spans partition each function body exactly (leading trivia sticks to the
 following statement, trailing trivia to the last one).
 
-Brackets follow one rule.  A group ends at the partner of its opening
+Brackets follow one rule: a group ends at the partner of its opening
 bracket, counting that bracket's kind only (``_find_matching``).  An index
-is at the top level of a token range when no bracket opened earlier in the
-range is still open there (``_top_level``): the three kinds count together,
-so ``(a]`` is a closed group, and a closer with nothing open is ignored.
-An unclosed group runs to its bound and takes no token as its closer: a
-contract to the next ``contract``, ``library`` or ``interface`` keyword, or
-to the end of input if there is none, and a parameter list or function body
-to the end of its contract.
+is at the top level of a range when no group opened in the range encloses
+it (``_top_level``): in ``(a]; b`` the ``(`` encloses the rest, and a
+closer with nothing open is at the top level.  Contracts are declared only
+at file level, so a ``contract``, ``library`` or ``interface`` keyword
+bounds every file-level scan before it (a directive, a ``struct``, a
+contract's header and body).  An unclosed group runs to its bound and takes
+no token as its closer: a contract to that keyword or the end of input, a
+parameter list or function body to the end of its contract.
 Statement ends, parameter and base lists, call-option keys and the
 operators that classify a statement are all read at the top level.  A body
 statement is classified from the one top-level walk that finds its end: the
@@ -85,6 +86,7 @@ _HEADERS = {"if": True, "for": True, "while": True,
             "else": False, "do": False, "unchecked": False}
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
+_DECLS = frozenset(("contract", "library", "interface"))
 
 
 _texts = itemgetter(TEXT)
@@ -130,19 +132,14 @@ def _skip_group(ts: Sequence[Token], i: int, end: int) -> int:
 
 
 def _top_level(toks: Sequence[Token], lo: int, hi: int) -> Iterator[int]:
-    """The indexes in ``toks[lo:hi]`` that no bracket opened in that range
-    encloses: an opener is at the top level, its group's inside and closer
-    are not, and a closer with nothing open is ignored."""
+    """The indexes in ``toks[lo:hi]`` that no group opened in that range
+    encloses: an opener is at the top level, the walk resumes past its
+    partner, and a closer with nothing open is at the top level too."""
 
-    depth = 0
-    for i in range(lo, hi):
-        if depth == 0:
-            yield i
-        x = toks[i][TEXT]
-        if x in "([{":
-            depth += 1
-        elif depth and x in ")]}":
-            depth -= 1
+    i = lo
+    while i < hi:
+        yield i
+        i = _skip_group(toks, i, hi) if toks[i][TEXT] in _OPENERS else i + 1
 
 
 def _walk_marks(
@@ -162,11 +159,14 @@ def _walk_marks(
     return hi, marks
 
 
-def _skip_to(ts: Sequence[Token], i: int, stop: Tuple[str, ...]) -> int:
-    for j in range(i, len(ts)):
+def _skip_to(ts: Sequence[Token], i: int, stop: Tuple[str, ...],
+             end: Optional[int] = None) -> int:
+    """Index of the first ``stop`` text from ``ts[i]`` before ``end``, else ``end``."""
+    end = len(ts) if end is None else end
+    for j in range(i, end):
         if ts[j][TEXT] in stop:
             return j
-    return len(ts)
+    return end
 
 
 def _is_word(tok: Token) -> bool:
@@ -521,18 +521,21 @@ class _BodyParser:
                             lhs_is_state_var=base in self.state_vars)
 
 
-def _collect_global_names(sig: Sequence[Token]) -> Tuple[Set[str], Set[str]]:
+def _collect_global_names(sig: Sequence[Token]) -> Tuple[Set[str], Set[str], List[int]]:
+    """The struct and contract names declared in ``sig``, and the index of
+    each ``_DECLS`` keyword in order, then ``len(sig)``."""
     structs: Set[str] = set()
     contracts: Set[str] = set()
-    for i in range(len(sig) - 1):
-        if sig[i][TEXT] == "struct" and sig[i + 1][KIND] == TokenKind.IDENTIFIER:
-            structs.add(sig[i + 1][TEXT])
-        elif (
-            sig[i][TEXT] in ("contract", "library", "interface")
-            and sig[i + 1][KIND] == TokenKind.IDENTIFIER
-        ):
-            contracts.add(sig[i + 1][TEXT])
-    return structs, contracts
+    decls: List[int] = []
+    for i, tok in enumerate(sig):
+        if tok[TEXT] in _DECLS or tok[TEXT] == "struct":
+            text = tok[TEXT]
+            if text in _DECLS:
+                decls.append(i)
+            if i + 1 < len(sig) and sig[i + 1][KIND] == TokenKind.IDENTIFIER:
+                (structs if text == "struct" else contracts).add(sig[i + 1][TEXT])
+    decls.append(len(sig))
+    return structs, contracts, decls
 
 
 def _parse_params(
@@ -617,36 +620,35 @@ _Parsed = Tuple[ContractDecl, List[str], List[Sequence[Token]]]
 def _parse_contract(
     sig: Sequence[Token],
     i: int,
+    bound: int,
     structs: Set[str],
     contracts: Set[str],
     diagnostics: List[Diagnostic],
 ) -> Tuple[Optional[_Parsed], int]:
     """The contract starting at ``sig[i]`` (None for a declaration with no
-    body), and the index past it."""
+    body), and the index past it, reading no token at or past ``bound``."""
 
     kind = sig[i][TEXT]
     start = sig[i][START]
     name = "<anonymous>"
     k = i + 1
-    if k < len(sig) and _is_word(sig[k]):
+    if k < bound and _is_word(sig[k]):
         name = sig[k][TEXT]
         k += 1
 
-    open_ = _skip_to(sig, k, ("{", ";"))
-    if open_ >= len(sig) or sig[open_][TEXT] == ";":
+    open_ = _skip_to(sig, k, ("{", ";"), bound)
+    if open_ >= bound or sig[open_][TEXT] == ";":
         # forward declaration or garbage; nothing to record
-        return None, (open_ + 1 if open_ < len(sig) else len(sig))
+        return None, min(open_ + 1, bound)
     bases: List[str] = []
     if any(t[TEXT] == "is" for t in sig[k:open_]):
         bases = [sig[j][TEXT] for j in _top_level(sig, k, open_)
                  if sig[j][KIND] == TokenKind.IDENTIFIER]
-    close = _find_matching(sig, open_)
-    resume = close + 1
-    if close >= len(sig):  # unclosed: bounded by the next declaration like it
-        close = resume = _skip_to(sig, open_ + 1, ("contract", "library", "interface"))
-        diagnostics.append(
-            Diagnostic(f"unclosed {kind} body", (start, sig[close - 1][END]))
-        )
+    close = resume = _find_matching(sig, open_, bound)
+    if close < bound:
+        resume += 1
+    else:
+        diagnostics.append(Diagnostic(f"unclosed {kind} body", (start, sig[close - 1][END])))
 
     state_vars: List[VarDecl] = []
     functions: List[FunctionDecl] = []
@@ -700,40 +702,36 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
     tokens = tuple(lex(source))  # the lexer's list is freed here, not at return
     sig = code_tokens(tokens)
     diagnostics: List[Diagnostic] = []
-    structs, contract_names = _collect_global_names(sig)
+    structs, contract_names, decls = _collect_global_names(sig)
 
     pragma: Optional[PragmaConstraint] = None
     has_directive = False  # a ``pragma solidity`` was seen, parseable or not
     parsed: List[_Parsed] = []
     i = 0
-    while i < len(sig):
-        text = sig[i][TEXT]
-        if text == "pragma":
-            end = _skip_to(sig, i + 1, (";",))
-            if i + 1 < end and sig[i + 1][TEXT] == "solidity":
-                has_directive = True
-                clause = _join(sig[i + 2 : end])
-                try:
-                    c = parse_constraint(clause)
-                    pragma = c if pragma is None else pragma.intersect(c)
-                except VersionSyntaxError:
-                    diagnostics.append(
-                        Diagnostic(
-                            f"unparseable version pragma: {clause!r}",
-                            (sig[i][START], sig[min(end, len(sig) - 1)][END]),
-                        )
-                    )
-            i = end + 1
-        elif text in ("contract", "library", "interface"):
-            found, i = _parse_contract(sig, i, structs, contract_names, diagnostics)
-            if found is not None:
-                parsed.append(found)
-        elif text in ("import", "using"):
-            i = _skip_to(sig, i, (";",)) + 1
-        elif text == "struct":
-            i = _skip_group(sig, _skip_to(sig, i, ("{",)), len(sig))
-        else:
-            i += 1
+    for bound in decls:  # each declaration keyword ends the scans before it
+        while i < bound:
+            text = sig[i][TEXT]
+            if text in ("pragma", "import", "using"):
+                end = _skip_to(sig, i + 1, (";",), bound)
+                if text == "pragma" and i + 1 < end and sig[i + 1][TEXT] == "solidity":
+                    has_directive = True
+                    clause = _join(sig[i + 2 : end])
+                    try:
+                        c = parse_constraint(clause)
+                        pragma = c if pragma is None else pragma.intersect(c)
+                    except VersionSyntaxError:
+                        span = (sig[i][START], sig[min(end, bound - 1)][END])
+                        diagnostics.append(
+                            Diagnostic(f"unparseable version pragma: {clause!r}", span))
+                i = min(end + 1, bound)
+            elif text in _DECLS:
+                found, i = _parse_contract(sig, i, bound, structs, contract_names, diagnostics)
+                if found is not None:
+                    parsed.append(found)
+            elif text == "struct":
+                i = _skip_group(sig, _skip_to(sig, i, ("{",), bound), bound)
+            else:
+                i += 1
 
     # An unknown version could be any: every rule runs.  An unparseable
     # directive has its diagnostic already.

@@ -122,6 +122,15 @@ def test_scan_missing_path(capsys):
     assert "no such file" in err
 
 
+def test_scan_path_that_is_not_a_file_or_directory(capsys, tmp_path):
+    fifo = tmp_path / "f.sol"
+    os.mkfifo(fifo)
+    code, out, err = run_cli(capsys, "scan", str(fifo))
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s: not a regular file or directory\n" % fifo
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_scan_reports_a_directory_it_cannot_list(capsys, monkeypatch, tmp_path,
                                                   contracts, fmt):
@@ -193,6 +202,29 @@ def test_bench_gates(capsys):
     code, _, _ = run_cli(capsys, "bench", "--min-precision", "0.8",
                          "--min-recall", "0.7")
     assert code == 0
+
+
+def usage_error(capsys, *argv):
+    """The stdout and stderr of an argument that argparse rejects (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+@pytest.mark.parametrize("gate", ["--min-precision", "--min-recall"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5", "high"])
+def test_bench_gate_outside_zero_to_one_is_a_usage_error(capsys, gate, value):
+    out, err = usage_error(capsys, "bench", gate, value)
+    assert out == ""
+    assert "is not a number from 0 to 1" in err
+
+
+# the crafted traps keep the bundled corpus's micro precision below 1
+@pytest.mark.parametrize("value, code", [("0", 0), ("1", 1)])
+def test_bench_gate_bounds_are_accepted(capsys, value, code):
+    assert run_cli(capsys, "bench", "--min-precision", value)[0] == code
 
 
 def test_bench_missing_corpus(capsys):
@@ -327,6 +359,17 @@ def test_catalog_category(capsys):
     code, _, err = run_cli(capsys, "catalog", "--category", "Z")
     assert code == 2
     assert "Z" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--list", "--kind", "A-a-W"),
+    ("--list", "--category", "D"),
+    ("--category", "D", "--kind", "A-a-W"),
+], ids=["list-kind", "list-category", "category-kind"])
+def test_catalog_views_exclude_each_other(capsys, argv):
+    out, err = usage_error(capsys, "catalog", *argv)
+    assert out == ""
+    assert "not allowed with argument" in err
 
 
 def test_catalog_kind_detail(capsys):

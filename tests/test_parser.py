@@ -256,10 +256,10 @@ def test_garbage_tolerated():
     assert isinstance(model.contracts, tuple)
     model2 = parse("@@@ ;;; what {]")
     assert model2.contracts == ()
-    # ``]`` closes the open ``(``, so the first ``;`` is at the top level
+    # the ``(`` has no ``)``, so it encloses the rest of the body
     model3 = parse("contract C { function f() public { x = (a]; y = 1; } }")
     (fn,) = model3.contracts[0].functions
-    assert [s.text for s in fn.body] == ["x = ( a ] ;", "y = 1 ;"]
+    assert [s.text for s in fn.body] == ["x = ( a ] ; y = 1 ;"]
     assert body_partition_holds(fn)
 
 
@@ -299,6 +299,32 @@ def test_unclosed_contract_ends_at_the_next_contract(source, spans, diagnostics,
     assert [text[slice(*c.span)] for c in model.contracts] == spans
     assert [d.message for d in model.diagnostics] == diagnostics
     assert [(f.bug_id, f.contract, f.function) for f in detect_all(model)] == findings
+
+
+# A contract keyword starts a new declaration wherever it stands; each
+# source yields the contracts named.
+CONTRACT_KEYWORD_BOUNDS = {
+    "stray-closer-in-body": ("contract A { ] contract B { } }", ["A", "B"]),
+    "pragma-without-semicolon": ("pragma solidity contract B { }", ["B"]),
+    "import-without-semicolon": ("import contract B { }", ["B"]),
+    "struct-without-body": ("struct S contract B { }", ["B"]),
+    "contract-without-body": ("contract A contract B { }", ["B"]),
+}
+
+
+@pytest.mark.parametrize("source, names", CONTRACT_KEYWORD_BOUNDS.values(),
+                         ids=CONTRACT_KEYWORD_BOUNDS.keys())
+def test_contract_keyword_bounds_every_file_level_scan(source, names):
+    assert [c.name for c in parse(source).contracts] == names
+
+
+def test_unparseable_pragma_span_stops_before_the_next_contract():
+    source = "pragma solidity ^0.4.0 x contract B { }"
+    model = parse(source)
+    assert [c.name for c in model.contracts] == ["B"]
+    (diag,) = model.diagnostics
+    assert diag.message == "unparseable version pragma: '^ 0.4.0 x'"
+    assert source[slice(*diag.span)] == "pragma solidity ^0.4.0 x"
 
 
 def test_partition_on_all_fixtures(manifest):

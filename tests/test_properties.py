@@ -205,6 +205,12 @@ def _drop_closing_braces(source: str, count: int) -> str:
 # an unclosed contract with a closed body; the second of two contracts left open
 @example(source="contract C { function f() { }", unclosed=0)
 @example(source="contract A { } contract B { }", unclosed=1)
+# scans that ran past a later contract keyword
+@example(source="contract A { ] contract B { } }", unclosed=0)
+@example(source="pragma solidity contract B { }", unclosed=0)
+@example(source="import contract B { }", unclosed=0)
+@example(source="struct S contract B { }", unclosed=0)
+@example(source="contract A contract B { }", unclosed=0)
 def test_parse_is_total_deterministic_and_partitions_bodies(source, unclosed):
     source = _drop_closing_braces(source, unclosed)
     model = parse(source, "prop.sol")
@@ -215,12 +221,33 @@ def test_parse_is_total_deterministic_and_partitions_bodies(source, unclosed):
                     <= fn.body_span[1] <= fn.span[1] <= contract.span[1]), fn.name
             if fn.has_body:
                 assert body_partition_holds(fn), fn.name
+    # a contract keyword starts a declaration wherever it stands
     names = {contract.name for contract in model.contracts}
     code = code_tokens(model.tokens)
-    for i in _top_level(code, 0, len(code) - 2):
+    for i in range(len(code) - 2):
         if (code[i][TEXT] == "contract" and code[i + 1][KIND] == TokenKind.IDENTIFIER
                 and code[i + 2][TEXT] == "{"):
             assert code[i + 1][TEXT] in names, code[i + 1][TEXT]
+
+
+_BRACKETS = st.lists(st.sampled_from(("(", ")", "[", "]", "{", "}", ";", "x", "contract")),
+                     max_size=40).map(" ".join)
+
+
+@_SETTINGS
+@given(_BRACKETS | _SOLIDITY_ISH)
+@example("x = (a]; y = 1;")
+@example("{ ] }")
+def test_top_level_never_enters_a_group(source):
+    """One bracket rule: the top-level walk skips each top-level opener's
+    group through its partner as ``_find_matching`` finds it."""
+    code = code_tokens(lex(source))
+    n = len(code)
+    top = list(_top_level(code, 0, n))
+    for i in top:
+        if code[i][TEXT] in "([{":
+            close = _find_matching(code, i, n)
+            assert not [j for j in top if i < j <= close], (i, close)
 
 
 # --- guard index against the regex predicates it replaced ------------------
