@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import runner, taxonomy
-from .detectors import DETECTABLE_BUG_IDS, Finding
+from .detectors import DETECTABLE_BUG_IDS, Finding, UnknownRuleError, rule_ids
 from .inputs import InputError, read_json
 from .taxonomy import Severity
 
@@ -28,16 +28,19 @@ def _collect_sol_files(paths: Sequence[str], errors: List[str]) -> List[str]:
 
     files: List[str] = []
     for path in paths:
-        if os.path.isdir(path):
-            for root, _, names in os.walk(path, onerror=unlisted):
-                files.extend(os.path.join(root, name)
-                             for name in names if name.endswith(".sol"))
-        elif os.path.isfile(path):
-            files.append(path)
-        elif os.path.exists(path):
-            errors.append("%s: not a regular file or directory" % path)
-        else:
+        if not os.path.exists(path):
             errors.append("%s: no such file or directory" % path)
+            continue
+        found = [path]
+        if os.path.isdir(path):
+            found = [os.path.join(root, name)
+                     for root, _, names in os.walk(path, onerror=unlisted)
+                     for name in names if name.endswith(".sol")]
+        for entry in found:  # a FIFO or device would block or fail the read: never open it
+            if os.path.isfile(entry):
+                files.append(entry)
+            else:
+                errors.append("%s: not a regular file or directory" % entry)
     return sorted(set(files))
 
 
@@ -46,9 +49,10 @@ def _cmd_scan(args) -> int:
         enabled = None
     else:
         enabled = [r.strip() for r in args.rules.split(",") if r.strip()]
-        unknown = sorted(set(enabled) - set(DETECTABLE_BUG_IDS))
-        if unknown:
-            print("error: no detector for: %s" % ", ".join(unknown), file=sys.stderr)
+        try:
+            rule_ids(enabled)
+        except UnknownRuleError as exc:
+            print("error: %s" % exc, file=sys.stderr)
             return 2
         if not enabled:
             print("error: --rules names no rule", file=sys.stderr)

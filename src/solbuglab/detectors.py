@@ -410,6 +410,15 @@ DETECTORS: Dict[str, DetectorEntry] = {
 DETECTABLE_BUG_IDS: Tuple[str, ...] = tuple(sorted(DETECTORS))
 
 
+def rule_ids(enabled: Sequence[str]) -> List[str]:
+    """The distinct ids in ``enabled``, sorted; UnknownRuleError names every
+    id with no rule."""
+    unknown = sorted(set(enabled) - set(DETECTORS))
+    if unknown:
+        raise UnknownRuleError("no detector for: " + ", ".join(unknown))
+    return sorted(set(enabled))
+
+
 def detect_all(
     model: SourceModel, enabled: Optional[Sequence[str]] = None
 ) -> List[Finding]:
@@ -419,17 +428,8 @@ def detect_all(
     Unknown ids in ``enabled`` raise UnknownRuleError.
     """
 
-    if enabled is None:
-        ids = list(DETECTABLE_BUG_IDS)
-    else:
-        unknown = sorted(set(enabled) - set(DETECTORS))
-        if unknown:
-            raise UnknownRuleError(
-                "no detector for: " + ", ".join(unknown)
-            )
-        ids = sorted(set(enabled))
     findings: List[Finding] = []
-    for bug_id in ids:
+    for bug_id in DETECTABLE_BUG_IDS if enabled is None else rule_ids(enabled):
         entry = DETECTORS[bug_id]
         if not version_applies(model.pragma, kind_by_id(bug_id).affected_versions):
             continue

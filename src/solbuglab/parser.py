@@ -13,12 +13,21 @@ Brackets follow one rule: a group ends at the partner of its opening
 bracket, counting that bracket's kind only (``_find_matching``).  An index
 is at the top level of a range when no group opened in the range encloses
 it (``_top_level``): in ``(a]; b`` the ``(`` encloses the rest, and a
-closer with nothing open is at the top level.  Contracts are declared only
-at file level, so a ``contract``, ``library`` or ``interface`` keyword
-bounds every file-level scan before it (a directive, a ``struct``, a
-contract's header and body).  An unclosed group runs to its bound and takes
-no token as its closer: a contract to that keyword or the end of input, a
-parameter list or function body to the end of its contract.
+closer with nothing open is at the top level.  An unclosed group runs to its
+bound and takes no token as its closer: a contract to the next contract
+keyword or the end of input, a parameter list or function body to the end
+of its contract.
+
+Declarations follow one rule too: a declaration ends at its first top-level
+``;`` or just after its first top-level ``{...}`` group, and never reads past
+its bound.  This holds for file-level directives and declarations, contract
+headers and members, function headers after the parameter list, and
+``assembly`` blocks.  Contracts are declared only at file level, so a
+``contract``, ``library`` or ``interface`` keyword bounds every file-level
+declaration before it, and a contract's body bounds its members.  So an
+unclosed file-level group encloses everything up to the next contract
+keyword: ``( pragma solidity ^0.4.24; contract C {}`` has no pragma.
+
 Statement ends, parameter and base lists, call-option keys and the
 operators that classify a statement are all read at the top level.  A body
 statement is classified from the one top-level walk that finds its end: the
@@ -74,11 +83,13 @@ _VISIBILITY = {
     "internal": Visibility.INTERNAL,
     "private": Visibility.PRIVATE,
 }
-# The class of each token text that ends or classifies a body statement
-# when it is at the statement's top level.
+# The class of each token text that ends or classifies a body statement or a
+# declaration when it is at its top level.  A declaration ends at a ``;`` or
+# after the group a ``{`` opens (``_DECL_ENDS``).
 _MARKS = dict.fromkeys(("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="),
                        "compound")
-_MARKS.update({";": ";", "}": "}", "=": "=", "++": "bump", "--": "bump"})
+_MARKS.update({";": ";", "{": "{", "}": "}", "=": "=", "++": "bump", "--": "bump"})
+_DECL_ENDS = (";", "{")
 _CALL_MEMBERS = frozenset(("call", "delegatecall", "callcode", "send", "transfer"))
 # The block headers of a body, each with whether a ``(...)`` group follows
 # its keyword.
@@ -159,14 +170,12 @@ def _walk_marks(
     return hi, marks
 
 
-def _skip_to(ts: Sequence[Token], i: int, stop: Tuple[str, ...],
-             end: Optional[int] = None) -> int:
-    """Index of the first ``stop`` text from ``ts[i]`` before ``end``, else ``end``."""
-    end = len(ts) if end is None else end
-    for j in range(i, end):
-        if ts[j][TEXT] in stop:
-            return j
-    return end
+def _decl_end(toks: Sequence[Token], stop: int, hi: int) -> int:
+    """Index past a declaration whose walk stopped at ``toks[stop]``: past
+    the group a ``{`` opens, else past the ``;``; ``hi`` at most."""
+    if stop < hi and toks[stop][TEXT] == "{":
+        return _skip_group(toks, stop, hi)
+    return min(stop + 1, hi)
 
 
 def _is_word(tok: Token) -> bool:
@@ -433,8 +442,9 @@ class _BodyParser:
         return after
 
     def _handle_assembly(self, i: int) -> int:
-        end = _skip_group(self.toks, _skip_to(self.toks, i, ("{",)), len(self.toks))
-        self._emit(StmtKind.OPAQUE, self.toks[i:end])
+        bt = self.toks
+        end = _decl_end(bt, _walk_marks(bt, i, len(bt), _DECL_ENDS)[0], len(bt))
+        self._emit(StmtKind.OPAQUE, bt[i:end])
         return end
 
     def _handle_simple(self, i: int) -> int:
@@ -472,8 +482,7 @@ class _BodyParser:
             self._emit(StmtKind.RETURN, slice_, call=_scan_call(core))
             return
         if first in ("require", "assert"):
-            p = _skip_to(core, 0, ("(",))
-            self.guards.append(_guard(first, core, p, _span_of(core))[0])
+            self.guards.append(_guard(first, core, 1, _span_of(core))[0])
             self._emit(StmtKind.REQUIRE_OR_ASSERT, slice_, call=_scan_call(core))
             return
         if first == "delete":
@@ -583,18 +592,14 @@ def _parse_function_header(
         params = _parse_params(sig[k + 1 : close], structs, contracts)
         k = close + 1
 
-    visibility = Visibility.DEFAULT
-    while k < end and sig[k][TEXT] not in ("{", ";"):
+    visibility = Visibility.DEFAULT  # the last visibility word at the top level
+    for k in _top_level(sig, k, end):
         text = sig[k][TEXT]
-        if text in _VISIBILITY:
-            visibility = _VISIBILITY[text]
-            k += 1
-        elif text == "payable":  # stepped over alone, even when "(" follows
-            k += 1
-        elif k + 1 < end and sig[k + 1][TEXT] == "(":
-            k = _skip_group(sig, k + 1, end)
-        else:
-            k += 1
+        if text in _DECL_ENDS:
+            break
+        visibility = _VISIBILITY.get(text, visibility)
+    else:
+        k = end
 
     if k >= end or sig[k][TEXT] == ";":  # no body: ends at its ";" or at ``end``
         last = sig[min(k, end - 1)][END]
@@ -636,7 +641,7 @@ def _parse_contract(
         name = sig[k][TEXT]
         k += 1
 
-    open_ = _skip_to(sig, k, ("{", ";"), bound)
+    open_ = _walk_marks(sig, k, bound, _DECL_ENDS)[0]
     if open_ >= bound or sig[open_][TEXT] == ";":
         # forward declaration or garbage; nothing to record
         return None, min(open_ + 1, bound)
@@ -662,22 +667,14 @@ def _parse_contract(
             )
             functions.append(fn)
             bodies.append(body)
-        elif text == "modifier":
-            stop = _skip_to(sig, j, ("{", ";"))
-            if stop >= close or sig[stop][TEXT] == ";":
-                j = min(stop + 1, close)
-            else:
-                j = _skip_group(sig, stop, close)
-        elif text in ("struct", "enum"):
-            j = _skip_group(sig, _skip_to(sig, j, ("{",)), close)
-        elif text in ("event", "error", "using"):
-            j = min(_skip_to(sig, j, (";",)) + 1, close)
-        else:
-            end, marks = _walk_marks(sig, j, close, (";",))
-            decl = _parse_var_decl(sig[j:end], marks.get("="), structs, contracts, member=True)
-            if decl is not None:
-                state_vars.append(decl)
-            j = end + 1
+        else:  # a member with no body statements; only a state variable is kept
+            stop, marks = _walk_marks(sig, j, close, _DECL_ENDS)
+            if stop == close or sig[stop][TEXT] == ";":
+                decl = _parse_var_decl(sig[j:stop], marks.get("="), structs, contracts,
+                                       member=True)
+                if decl is not None:
+                    state_vars.append(decl)
+            j = _decl_end(sig, stop, close)
     contract = ContractDecl(name, kind, tuple(state_vars), tuple(functions),
                             (start, sig[resume - 1][END]))
     return (contract, bases, bodies), resume
@@ -710,28 +707,25 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
     i = 0
     for bound in decls:  # each declaration keyword ends the scans before it
         while i < bound:
-            text = sig[i][TEXT]
-            if text in ("pragma", "import", "using"):
-                end = _skip_to(sig, i + 1, (";",), bound)
-                if text == "pragma" and i + 1 < end and sig[i + 1][TEXT] == "solidity":
-                    has_directive = True
-                    clause = _join(sig[i + 2 : end])
-                    try:
-                        c = parse_constraint(clause)
-                        pragma = c if pragma is None else pragma.intersect(c)
-                    except VersionSyntaxError:
-                        span = (sig[i][START], sig[min(end, bound - 1)][END])
-                        diagnostics.append(
-                            Diagnostic(f"unparseable version pragma: {clause!r}", span))
-                i = min(end + 1, bound)
-            elif text in _DECLS:
+            if sig[i][TEXT] in _DECLS:
                 found, i = _parse_contract(sig, i, bound, structs, contract_names, diagnostics)
                 if found is not None:
                     parsed.append(found)
-            elif text == "struct":
-                i = _skip_group(sig, _skip_to(sig, i, ("{",), bound), bound)
-            else:
-                i += 1
+                continue
+            stop = _walk_marks(sig, i, bound, _DECL_ENDS)[0]
+            if sig[i][TEXT] == "pragma" and i + 1 < stop and sig[i + 1][TEXT] == "solidity":
+                has_directive = True
+                clause = _join(sig[i + 2 : stop])
+                try:
+                    if not clause:  # an empty clause names no version
+                        raise VersionSyntaxError(clause)
+                    c = parse_constraint(clause)
+                    pragma = c if pragma is None else pragma.intersect(c)
+                except VersionSyntaxError:
+                    span = (sig[i][START], sig[min(stop, bound - 1)][END])
+                    diagnostics.append(
+                        Diagnostic(f"unparseable version pragma: {clause!r}", span))
+            i = _decl_end(sig, stop, bound)
 
     # An unknown version could be any: every rule runs.  An unparseable
     # directive has its diagnostic already.

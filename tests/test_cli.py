@@ -6,6 +6,7 @@ import errno
 import gc
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -622,6 +623,19 @@ def run_module(*argv, **kwargs):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-m", "solbuglab.cli", *argv],
                           cwd=CORPUS_DIR, env=env, timeout=60, **kwargs)
+
+
+def test_scan_reports_a_fifo_inside_a_directory_and_never_opens_it(tmp_path):
+    shutil.copy(os.path.join(CORPUS_DIR, "contracts", "reentrancy_buggy.sol"), tmp_path)
+    fifo = tmp_path / "f.sol"
+    os.mkfifo(fifo)
+    # opening the FIFO would block until the timeout
+    done = run_module("scan", "--format", "json", str(tmp_path),
+                      capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (2, "")
+    doc = json.loads(done.stdout)
+    assert doc["errors"] == ["%s: not a regular file or directory" % fifo]
+    assert {f["file"] for f in doc["findings"]} == {str(tmp_path / "reentrancy_buggy.sol")}
 
 
 @pytest.mark.parametrize("case", ["scan_json", "scan_text", "bench_json",

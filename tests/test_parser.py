@@ -327,6 +327,66 @@ def test_unparseable_pragma_span_stops_before_the_next_contract():
     assert source[slice(*diag.span)] == "pragma solidity ^0.4.0 x"
 
 
+def declared(model):
+    """Per contract, its state variable names and, per function, the name,
+    visibility and guard conditions; then the diagnostics."""
+    contracts = {c.name: ([v.name for v in c.state_vars],
+                          [(f.name, f.visibility.value, [g.condition for g in f.guards])
+                           for f in c.functions])
+                 for c in model.contracts}
+    return contracts, [d.message for d in model.diagnostics]
+
+
+# A declaration ends at its first top-level ``;`` or just after its first
+# top-level ``{...}`` group, and never reads past its enclosing bound; each
+# source yields the contracts and diagnostics given.
+DECLARATION_ENDS = {
+    "member-stops-at-its-contract": (
+        "pragma solidity ^0.4.24; contract A { event E(uint a) } contract B { uint x; }",
+        {"A": ([], []), "B": (["x"], [])}, []),
+    "payable-group-in-header": (
+        "pragma solidity ^0.4.24; contract C { function f() payable(public) internal { } }",
+        {"C": ([], [("f", "internal", [])])}, []),
+    "guard-without-group-after-keyword": (
+        "pragma solidity ^0.4.24; contract C { function f() public { require x (y); } }",
+        {"C": ([], [("f", "public", [""])])}, []),
+    "using-with-braces-in-contract": (
+        "pragma solidity ^0.4.24; contract C { using {f} for T; uint x; function g() {} }",
+        {"C": (["x"], [("g", "default", [])])}, []),
+    "import-with-braces-then-pragma": (
+        'import {A} from "x"; pragma solidity ^0.4.24; contract C { uint x; }',
+        {"C": (["x"], [])}, []),
+    "free-function-before-contract": (
+        "pragma solidity ^0.4.24; function f() pure returns (uint) { return 1; } "
+        "contract C { uint x; }",
+        {"C": (["x"], [])}, []),
+    "file-level-group-encloses-pragma": (
+        "( pragma solidity ^0.4.24; contract C {}",
+        {"C": ([], [])}, ["no solidity version pragma"]),
+}
+
+
+@pytest.mark.parametrize("source, contracts, diagnostics", DECLARATION_ENDS.values(),
+                         ids=DECLARATION_ENDS.keys())
+def test_one_rule_for_where_a_declaration_ends(source, contracts, diagnostics):
+    model = parse(source)
+    assert declared(model) == (contracts, diagnostics)
+    if diagnostics:  # an unknown version could be any: every rule runs
+        assert model.pragma.is_unbounded()
+
+
+@pytest.mark.parametrize("source", ["pragma solidity ; contract B { }",
+                                    "pragma solidity contract B { }"],
+                         ids=["semicolon", "contract-keyword"])
+def test_empty_version_clause_is_unparseable(source):
+    model = parse(source)
+    assert declared(model) == ({"B": ([], [])}, ["unparseable version pragma: ''"])
+    assert model.pragma.is_unbounded()
+    # every rule runs, the 0.4-only A-a-W included
+    found = detect_all(parse(source + " contract D { uint a =+ 1; }"))
+    assert [f.bug_id for f in found] == ["A-a-W"]
+
+
 def test_partition_on_all_fixtures(manifest):
     for entry in manifest.entries:
         source = fixture_source(entry.path.split("/")[-1])

@@ -211,6 +211,15 @@ def _drop_closing_braces(source: str, count: int) -> str:
 @example(source="import contract B { }", unclosed=0)
 @example(source="struct S contract B { }", unclosed=0)
 @example(source="contract A contract B { }", unclosed=0)
+# one rule for where a declaration ends (``test_parser.DECLARATION_ENDS``)
+@example(source="contract A { event E(uint a) } contract B { uint x; }", unclosed=0)
+@example(source="contract C { function f() payable(public) internal { } }", unclosed=0)
+@example(source="contract C { function f() public { require x (y); } }", unclosed=0)
+@example(source="contract C { using {f} for T; uint x; function g() {} }", unclosed=0)
+@example(source='import {A} from "x"; pragma solidity ^0.4.24; contract C { }', unclosed=0)
+@example(source="function f() pure returns (uint) { return 1; } contract C { }", unclosed=0)
+@example(source="( pragma solidity ^0.4.24; contract C {}", unclosed=0)
+@example(source="pragma solidity ; contract B { }", unclosed=0)
 def test_parse_is_total_deterministic_and_partitions_bodies(source, unclosed):
     source = _drop_closing_braces(source, unclosed)
     model = parse(source, "prop.sol")
@@ -228,6 +237,28 @@ def test_parse_is_total_deterministic_and_partitions_bodies(source, unclosed):
         if (code[i][TEXT] == "contract" and code[i + 1][KIND] == TokenKind.IDENTIFIER
                 and code[i + 2][TEXT] == "{"):
             assert code[i + 1][TEXT] in names, code[i + 1][TEXT]
+
+
+# Contract members of every kind, whole and cut short, in two contracts.
+_MEMBERS = st.lists(st.sampled_from((
+    "uint x;", "uint y = 1", "S s;", "event E(uint a)", "event E(uint a);",
+    "error Err(uint a)", "modifier m() { _; }", "modifier m(uint a)", "struct S { uint a; }",
+    "struct S", "enum E { A }", "using {f} for T;", "using L for T",
+    "function f() public { x = 1; }", "function g() payable(public) internal",
+    "constructor()", "{", "}", "(", ")", "[", "]", ";", "contract",
+)), max_size=10).map(" ".join)
+_TWO_CONTRACTS = st.tuples(_MEMBERS, _MEMBERS).map(
+    lambda members: "contract A { %s } contract B { %s }" % members)
+
+
+@_SETTINGS
+@given(_TWO_CONTRACTS | _SOLIDITY_ISH)
+@example("contract A { event E(uint a) } contract B { uint x; }")
+def test_members_lie_inside_their_contract(source):
+    for contract in parse(source, "prop.sol").contracts:
+        lo, hi = contract.span
+        for member in (*contract.state_vars, *contract.functions):
+            assert lo <= member.span[0] <= member.span[1] <= hi, member.name
 
 
 _BRACKETS = st.lists(st.sampled_from(("(", ")", "[", "]", "{", "}", ";", "x", "contract")),
