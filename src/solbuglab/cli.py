@@ -11,7 +11,7 @@ import gc
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from . import runner, taxonomy
 from .detectors import DETECTABLE_BUG_IDS, Finding, UnknownRuleError, rule_ids
@@ -26,7 +26,8 @@ def _collect_sol_files(paths: Sequence[str], errors: List[str]) -> List[str]:
     def unlisted(exc: OSError) -> None:
         errors.append("%s: cannot list directory: %s" % (exc.filename, exc.strerror))
 
-    files: List[str] = []
+    files: Set[str] = set()
+    irregular: Set[str] = set()
     for path in paths:
         if not os.path.exists(path):
             errors.append("%s: no such file or directory" % path)
@@ -37,11 +38,9 @@ def _collect_sol_files(paths: Sequence[str], errors: List[str]) -> List[str]:
                      for root, _, names in os.walk(path, onerror=unlisted)
                      for name in names if name.endswith(".sol")]
         for entry in found:  # a FIFO or device would block or fail the read: never open it
-            if os.path.isfile(entry):
-                files.append(entry)
-            else:
-                errors.append("%s: not a regular file or directory" % entry)
-    return sorted(set(files))
+            (files if os.path.isfile(entry) else irregular).add(entry)
+    errors.extend("%s: not a regular file or directory" % entry for entry in sorted(irregular))
+    return sorted(files)
 
 
 def _cmd_scan(args) -> int:

@@ -629,12 +629,16 @@ def test_scan_reports_a_fifo_inside_a_directory_and_never_opens_it(tmp_path):
     shutil.copy(os.path.join(CORPUS_DIR, "contracts", "reentrancy_buggy.sol"), tmp_path)
     fifo = tmp_path / "f.sol"
     os.mkfifo(fifo)
-    # opening the FIFO would block until the timeout
-    done = run_module("scan", "--format", "json", str(tmp_path),
+    dangling = tmp_path / "a.sol"
+    os.symlink(tmp_path / "missing.sol", dangling)
+    # opening the FIFO would block until the timeout; the directory is named
+    # twice, and each entry is still reported once, in sorted order
+    done = run_module("scan", "--format", "json", str(tmp_path), str(tmp_path),
                       capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (2, "")
     doc = json.loads(done.stdout)
-    assert doc["errors"] == ["%s: not a regular file or directory" % fifo]
+    assert doc["errors"] == ["%s: not a regular file or directory" % entry
+                             for entry in (dangling, fifo)]
     assert {f["file"] for f in doc["findings"]} == {str(tmp_path / "reentrancy_buggy.sol")}
 
 

@@ -1,6 +1,6 @@
 """Compare the parser models and findings of two solbuglab source trees.
 
-    python3 tools/diff_models.py PARENT_SRC CHANGE_SRC [--fragments N] [--seed S]
+    python3 tools/diff_models.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
 ``solbuglab`` package (for example ``git archive HEAD~1 src | tar -x -C DIR``
@@ -11,8 +11,8 @@ findings differ.
 
 The inputs are the bundled corpus, ``tests/golden/*.sol``, the ``wide`` and
 ``guarded`` workloads of seeds 1 and 7 as ``perfbench/gen.py`` writes them,
-and N seeded fragment sources that mix every kind of declaration with
-unbalanced brackets.  The output is the count of differing inputs and the
+and 20,000 fragment sources of seed 1 that mix every kind of declaration
+with unbalanced brackets.  The output is the count of differing inputs and the
 first few of them.  Exit status: 0 when nothing differs, 1 when something
 does, 2 when a tree cannot be run.  Standard library only.
 """
@@ -29,6 +29,8 @@ from typing import List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = (("wide", 1), ("wide", 7), ("guarded", 1), ("guarded", 7))
+FRAGMENT_COUNT = 20000
+FRAGMENT_SEED = 1
 # Directives, declarations and members of every kind, whole and cut short,
 # with brackets that need not balance.
 FRAGMENTS = (
@@ -68,10 +70,10 @@ with open(sys.argv[1], encoding="utf-8") as fh:
 """
 
 
-def fragment_sources(count: int, seed: int) -> List[str]:
-    rng = random.Random(seed)
+def fragment_sources() -> List[str]:
+    rng = random.Random(FRAGMENT_SEED)
     return [" ".join(rng.choice(FRAGMENTS) for _ in range(rng.randrange(1, 40)))
-            for _ in range(count)]
+            for _ in range(FRAGMENT_COUNT)]
 
 
 def file_inputs(scratch: str) -> List[dict]:
@@ -99,9 +101,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src")
     ap.add_argument("change_src")
-    ap.add_argument("--fragments", type=int, default=2000,
-                    help="generated fragment sources (default 2000)")
-    ap.add_argument("--seed", type=int, default=1, help="fragment seed (default 1)")
     args = ap.parse_args()
     for src in (args.parent_src, args.change_src):
         if not os.path.isfile(os.path.join(src, "solbuglab", "parser.py")):
@@ -111,7 +110,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         items = file_inputs(scratch)
         items += [{"name": "fragment-%d.sol" % n, "source": source}
-                  for n, source in enumerate(fragment_sources(args.fragments, args.seed))]
+                  for n, source in enumerate(fragment_sources())]
         inputs = os.path.join(scratch, "inputs.jsonl")
         with open(inputs, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(item) + "\n" for item in items)
@@ -126,7 +125,7 @@ def main() -> int:
 
     files = sum("path" in item for item in items)
     print("inputs: %d files, %d fragments (seed %d)"
-          % (files, len(items) - files, args.seed))
+          % (files, len(items) - files, FRAGMENT_SEED))
     differing = []
     for item, old, new in zip(items, *outputs):
         parts = [part for part, a, b in zip(("model", "findings"), old, new) if a != b]
