@@ -147,7 +147,7 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
 
         strategy = item.get("strategy")
         if kind is EntryKind.CRAFTED:
-            if strategy not in (1, 2, 3):
+            if type(strategy) is not int or not 1 <= strategy <= 3:
                 problems.append("%s: crafted entry needs strategy 1..3, got %r"
                                   % (where, strategy))
                 strategy = None

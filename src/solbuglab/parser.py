@@ -33,6 +33,16 @@ operators that classify a statement are all read at the top level.  A body
 statement is classified from the one top-level walk that finds its end: the
 walk records the first top-level ``=``, compound operator and ``++``/``--``.
 
+Each contract is parsed in one pass where it stands.  One walk finds where
+each member ends; for a function it also finds its body's closing brace,
+once.  The members that end at ``;`` are tried as state variables.  Then
+each function is built once, body statements and guards included, against
+the contract's state variable names: its own and those of each base
+declared earlier in the file.  A base declared later lends none: solc
+rejects such a file ("Definition of base has to precede definition of
+derived contract").  Repeated and cyclic base names, which solc rejects
+too, resolve against the contracts parsed so far.
+
 Modifier declarations are skipped as opaque contract members on purpose:
 their bodies do not contribute guards to the functions that invoke them,
 which mirrors how the lexical detectors reason (and mis-reason) about code.
@@ -98,6 +108,7 @@ _HEADERS = {"if": True, "for": True, "while": True,
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 _DECLS = frozenset(("contract", "library", "interface"))
+_FUNCTIONS = frozenset(("function", "constructor", "fallback", "receive"))
 
 
 _texts = itemgetter(TEXT)
@@ -559,79 +570,76 @@ def _parse_params(
     return tuple(d for d in decls if d is not None)
 
 
-def _parse_function_header(
+def _parse_function(
     sig: Sequence[Token],
     i: int,
+    stop: int,
+    closer: int,
     end: int,
+    state_names: Set[str],
     structs: Set[str],
     contracts: Set[str],
     diagnostics: List[Diagnostic],
-) -> Tuple[FunctionDecl, Sequence[Token], int]:
-    """The function starting at ``sig[i]``, with no body statements or
-    guards yet; its body tokens; and the index past it.  Reads no token at
-    or past ``end``: the enclosing contract's closing brace, or its bound if
-    the contract has none."""
+) -> FunctionDecl:
+    """The function starting at ``sig[i]``, whose header ends at ``sig[stop]``
+    and whose body, if the ``{`` there opens one, ends at ``sig[closer]``.
+    Reads no token at or past ``end``: the enclosing contract's closing
+    brace, or its bound if the contract has none."""
 
     start = sig[i][START]
     name = sig[i][TEXT]
     k = i + 1
     if name == "function":
         name = ""
-        if k < end and _is_word(sig[k]):
+        if k < stop and _is_word(sig[k]):
             name = sig[k][TEXT]
             k += 1
     is_fallback = name in ("", "fallback", "receive")
 
     params: Tuple[VarDecl, ...] = ()
-    if k < end and sig[k][TEXT] == "(":
-        close = _find_matching(sig, k, end)
-        if close >= end:
+    if k < stop and sig[k][TEXT] == "(":
+        group = _find_matching(sig, k, stop)
+        if group >= stop:  # unclosed, so the header ran to ``end``
             diagnostics.append(
                 Diagnostic("unclosed parameter list", (start, sig[end - 1][END]))
             )
-        params = _parse_params(sig[k + 1 : close], structs, contracts)
-        k = close + 1
+        params = _parse_params(sig[k + 1 : group], structs, contracts)
+        k = group + 1
 
     visibility = Visibility.DEFAULT  # the last visibility word at the top level
-    for k in _top_level(sig, k, end):
-        text = sig[k][TEXT]
-        if text in _DECL_ENDS:
-            break
-        visibility = _VISIBILITY.get(text, visibility)
-    else:
-        k = end
+    for k in _top_level(sig, k, stop):
+        visibility = _VISIBILITY.get(sig[k][TEXT], visibility)
 
-    if k >= end or sig[k][TEXT] == ";":  # no body: ends at its ";" or at ``end``
-        last = sig[min(k, end - 1)][END]
-        return (FunctionDecl(name, params, visibility, (), (start, last), (last, last),
-                             is_fallback, has_body=False), (), min(k + 1, end))
+    if stop >= end or sig[stop][TEXT] == ";":  # no body: ends at its ";" or at ``end``
+        last = sig[min(stop, end - 1)][END]
+        return FunctionDecl(name, params, visibility, (), (start, last), (last, last),
+                            is_fallback, has_body=False)
 
-    close = _find_matching(sig, k, end)
-    if close < end:
-        span_end, body_end = sig[close][END], sig[close][START]
+    if closer < end:
+        span_end, body_end = sig[closer][END], sig[closer][START]
     else:
         span_end = body_end = sig[end - 1][END]
         diagnostics.append(Diagnostic("unclosed function body", (start, span_end)))
-    fn = FunctionDecl(name, params, visibility, (), (start, span_end),
-                      (sig[k][END], body_end), is_fallback)
-    return fn, sig[k + 1 : close], close + 1
-
-
-# A contract whose functions have no body statements yet, its base names,
-# and each function's body tokens.
-_Parsed = Tuple[ContractDecl, List[str], List[Sequence[Token]]]
+    body_span = (sig[stop][END], body_end)
+    body, guards = _BodyParser(sig[stop + 1 : closer], body_span, state_names, structs,
+                               contracts, diagnostics).run()
+    return FunctionDecl(name, params, visibility, body, (start, span_end), body_span,
+                        is_fallback, guards=guards)
 
 
 def _parse_contract(
     sig: Sequence[Token],
     i: int,
     bound: int,
+    inherited: Dict[str, Set[str]],
     structs: Set[str],
     contracts: Set[str],
     diagnostics: List[Diagnostic],
-) -> Tuple[Optional[_Parsed], int]:
+) -> Tuple[Optional[ContractDecl], int]:
     """The contract starting at ``sig[i]`` (None for a declaration with no
-    body), and the index past it, reading no token at or past ``bound``."""
+    body), and the index past it, reading no token at or past ``bound``.
+    ``inherited`` maps each contract parsed before it to its state variable
+    names, its bases' included; the contract's own entry is added."""
 
     kind = sig[i][TEXT]
     start = sig[i][START]
@@ -656,41 +664,28 @@ def _parse_contract(
         diagnostics.append(Diagnostic(f"unclosed {kind} body", (start, sig[close - 1][END])))
 
     state_vars: List[VarDecl] = []
-    functions: List[FunctionDecl] = []
-    bodies: List[Sequence[Token]] = []
+    heads: List[Tuple[int, int, int]] = []  # a function's first index, header end, body end
     j = open_ + 1
-    while j < close:
-        text = sig[j][TEXT]
-        if text in ("function", "constructor", "fallback", "receive"):
-            fn, body, j = _parse_function_header(
-                sig, j, close, structs, contracts, diagnostics
-            )
-            functions.append(fn)
-            bodies.append(body)
-        else:  # a member with no body statements; only a state variable is kept
-            stop, marks = _walk_marks(sig, j, close, _DECL_ENDS)
-            if stop == close or sig[stop][TEXT] == ";":
-                decl = _parse_var_decl(sig[j:stop], marks.get("="), structs, contracts,
-                                       member=True)
-                if decl is not None:
-                    state_vars.append(decl)
-            j = _decl_end(sig, stop, close)
-    contract = ContractDecl(name, kind, tuple(state_vars), tuple(functions),
+    while j < close:  # each member ends at its first top-level ";" or "{...}" group
+        stop, marks = _walk_marks(sig, j, close, _DECL_ENDS)
+        group = stop < close and sig[stop][TEXT] == "{"
+        last = _find_matching(sig, stop, close) if group else stop
+        if sig[j][TEXT] in _FUNCTIONS:
+            heads.append((j, stop, last))
+        elif not group:  # a member with no body statements; only a state variable is kept
+            decl = _parse_var_decl(sig[j:stop], marks.get("="), structs, contracts,
+                                   member=True)
+            if decl is not None:
+                state_vars.append(decl)
+        j = last + 1
+
+    state_names = {v.name for v in state_vars}.union(*(inherited.get(b, ()) for b in bases))
+    inherited[name] = state_names
+    functions = tuple(_parse_function(sig, *head, close, state_names, structs, contracts,
+                                      diagnostics) for head in heads)
+    contract = ContractDecl(name, kind, tuple(state_vars), functions,
                             (start, sig[resume - 1][END]))
-    return (contract, bases, bodies), resume
-
-
-def _state_names(name: str, own_vars: Dict[str, Set[str]],
-                 bases_of: Dict[str, Sequence[str]], seen: Set[str]) -> Set[str]:
-    """State variables of ``name`` and its bases declared in the file; not a
-    closure, so parsing leaves no function-cell cycle for the collector."""
-    if name in seen or name not in own_vars:
-        return set()
-    seen.add(name)
-    out = set(own_vars[name])
-    for base in bases_of[name]:
-        out |= _state_names(base, own_vars, bases_of, seen)
-    return out
+    return contract, resume
 
 
 def parse(source: str, file_path: str = "<string>") -> SourceModel:
@@ -703,14 +698,16 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
 
     pragma: Optional[PragmaConstraint] = None
     has_directive = False  # a ``pragma solidity`` was seen, parseable or not
-    parsed: List[_Parsed] = []
+    contracts: List[ContractDecl] = []
+    inherited: Dict[str, Set[str]] = {}
     i = 0
     for bound in decls:  # each declaration keyword ends the scans before it
         while i < bound:
             if sig[i][TEXT] in _DECLS:
-                found, i = _parse_contract(sig, i, bound, structs, contract_names, diagnostics)
+                found, i = _parse_contract(sig, i, bound, inherited, structs, contract_names,
+                                           diagnostics)
                 if found is not None:
-                    parsed.append(found)
+                    contracts.append(found)
                 continue
             stop = _walk_marks(sig, i, bound, _DECL_ENDS)[0]
             if sig[i][TEXT] == "pragma" and i + 1 < stop and sig[i + 1][TEXT] == "solidity":
@@ -735,18 +732,6 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
                 "no solidity version pragma" if pragma is None
                 else "contradictory version pragmas match no compiler", (0, 0)))
         pragma = ANY_VERSION
-
-    own_vars = {c.name: {v.name for v in c.state_vars} for c, _, _ in parsed}
-    bases_of = {c.name: bases for c, bases, _ in parsed}
-    contracts: List[ContractDecl] = []
-    for contract, _, bodies in parsed:
-        state_names = _state_names(contract.name, own_vars, bases_of, set())
-        functions: List[FunctionDecl] = []
-        for fn, body_toks in zip(contract.functions, bodies):
-            body, guards = _BodyParser(body_toks, fn.body_span, state_names, structs,
-                                       contract_names, diagnostics).run()
-            functions.append(fn._replace(body=body, guards=guards))
-        contracts.append(contract._replace(functions=tuple(functions)))
 
     return SourceModel(
         file_path=file_path,

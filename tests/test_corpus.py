@@ -161,6 +161,18 @@ def test_expectation_values_validated(tmp_path):
     assert "explodes" in str(err.value)
 
 
+@pytest.mark.parametrize("strategy", [True, 1.0])
+def test_crafted_strategy_must_be_an_int(tmp_path, strategy):
+    path = write_manifest(tmp_path, {
+        "schema_version": "1",
+        "entries": [{"path": "x.sol", "kind": "crafted", "origin": "handwritten",
+                     "strategy": strategy, "labels": ["D-a-R"]}],
+    })
+    with pytest.raises(InputError) as err:
+        load_manifest(path, require_files=False)
+    assert "crafted entry needs strategy 1..3, got %r" % strategy in str(err.value)
+
+
 def test_large_synthetic_manifest(tmp_path):
     # headline mix: 21 unchanged, 69 modified, 86 handwritten
     mix = [("unchanged", 21), ("modified", 69), ("handwritten", 86)]

@@ -87,6 +87,25 @@ def test_state_vars_inherited_within_file():
     assert writes_to_state(base) == {"total": True, "balance": False}
 
 
+@pytest.mark.parametrize("source, writes", [
+    ("contract A { uint t; } contract B is A { function g() { t = 1; } }",
+     [{}, {"t": True}]),
+    ("contract A { uint t; } contract B is A { } contract C is B { function g() { t = 1; } }",
+     [{}, {}, {"t": True}]),
+    # solc rejects a base declared after the contract that names it
+    ("contract B is A { function g() { t = 1; } } contract A { uint t; }",
+     [{"t": False}, {}]),
+    ("contract S is S { uint s; function f() { s = 1; } }"
+     " contract A is B { uint a; function f() { b = 1; } }"
+     " contract B is A { uint b; function g() { a = 1; } }",
+     [{"s": True}, {"b": False}, {"a": True}]),
+], ids=["earlier-base", "chain", "later-base", "self-and-cycle"])
+def test_only_bases_declared_earlier_lend_state_vars(source, writes):
+    model = parse("pragma solidity ^0.4.24;\n" + source)
+    assert [writes_to_state(c) for c in model.contracts] == writes
+    assert model.diagnostics == ()
+
+
 def test_function_shapes():
     model = parse("""
         pragma solidity ^0.4.24;

@@ -254,11 +254,22 @@ _TWO_CONTRACTS = st.tuples(_MEMBERS, _MEMBERS).map(
 @_SETTINGS
 @given(_TWO_CONTRACTS | _SOLIDITY_ISH)
 @example("contract A { event E(uint a) } contract B { uint x; }")
+@example("contract C { function f() public { if (a) { x = 1 } } }")
 def test_members_lie_inside_their_contract(source):
-    for contract in parse(source, "prop.sol").contracts:
+    """Members lie inside their contract; contracts, and the functions of
+    each, come in source order without overlap, as ``contract_at`` and
+    ``function_at`` bisect on; diagnostics come in source order, the
+    file-level ``(0, 0)`` ones last."""
+    model = parse(source, "prop.sol")
+    for contract in model.contracts:
         lo, hi = contract.span
         for member in (*contract.state_vars, *contract.functions):
             assert lo <= member.span[0] <= member.span[1] <= hi, member.name
+    for records in (model.contracts, *(c.functions for c in model.contracts)):
+        for before, after in zip(records, records[1:]):
+            assert before.span[1] <= after.span[0], (before.name, after.name)
+    order = [(d.span == (0, 0), d.span[0]) for d in model.diagnostics]
+    assert order == sorted(order), [d.message for d in model.diagnostics]
 
 
 _BRACKETS = st.lists(st.sampled_from(("(", ")", "[", "]", "{", "}", ";", "x", "contract")),
