@@ -14,6 +14,15 @@ Multi-character operators are folded into single tokens (``==``, ``+=``,
 ``>>=``...) but ``=+`` and ``=-`` deliberately are not: an assignment glyph
 immediately followed by a sign stays two adjacent tokens, which is what the
 wrong-operator detector keys on.
+
+A token's kind is the class of the alternative that split it off, found
+once per distinct text in a ``lex`` call.  For an ASCII text the first
+character decides: whitespace, a quote (string), a digit (number), a
+letter, ``_`` or ``$`` (word), anything else punctuation.  A text that
+starts with ``/`` (a comment or an operator) or holds a non-ASCII character
+(``²`` is punctuation, ``٣`` a number) is matched against the alternatives
+again.  A word is a keyword when it is in ``KEYWORDS`` or is a sized type
+such as ``uint8`` or ``bytes32``, and an identifier otherwise.
 """
 
 from __future__ import annotations
@@ -90,6 +99,12 @@ _GROUP_KINDS = (
     None, TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.STRING,
     TokenKind.NUMBER, None, TokenKind.PUNCTUATION,
 )
+# The group of an ASCII text by its first character, which alone picks the
+# alternative that matched: the alternatives before the last start with
+# disjoint ASCII characters, and each matches whatever one of them starts.
+# ``/`` is left out: ``//`` and ``/*`` are comments, ``/`` and ``/=`` not.
+_FIRST_CHAR_GROUPS = {c: _TOKEN_RE.match(c).lastindex
+                      for c in map(chr, range(128)) if c != "/"}
 
 
 def _classify_word(word: str) -> TokenKind:
@@ -114,13 +129,15 @@ def lex(source: str) -> List[Token]:
     tokens: List[Token] = []
     append = tokens.append
     get = atoms.get
+    first_group = _FIRST_CHAR_GROUPS.get
     start = 0
     for text in _SPLIT_RE.findall(source):
         atom = get(text)
         if atom is None:
-            kind = _GROUP_KINDS[_TOKEN_RE.match(text).lastindex] or _classify_word(text)
-            size = len(text) if text.isascii() else _byte_len(text)
-            atom = atoms[text] = (kind, text, size)
+            ascii_text = text.isascii()
+            size = len(text) if ascii_text else _byte_len(text)
+            group = ascii_text and first_group(text[0]) or _TOKEN_RE.match(text).lastindex
+            atom = atoms[text] = (_GROUP_KINDS[group] or _classify_word(text), text, size)
         kind, text, size = atom
         end = start + size
         append(new(Token, (kind, text, start, end)))

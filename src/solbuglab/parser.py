@@ -246,8 +246,6 @@ def _parse_var_decl(
     contract name so that plain assignments are not mistaken for decls.
     """
 
-    if not toks:
-        return None
     location = StorageLocation.DEFAULT
     filtered: List[Token] = []
     for t in toks[:eq]:
@@ -255,14 +253,14 @@ def _parse_var_decl(
         if text in _LOCATIONS and location is StorageLocation.DEFAULT:
             location = _LOCATIONS[text]
         elif text not in _DECL_FILTER:
+            # the head is checked before any later token is looked at, so an
+            # event, ``using`` or modifier is rejected on its keyword
+            # (contract level trusts an identifier's position)
+            if not filtered and not (member and t[KIND] == TokenKind.IDENTIFIER
+                                     or _is_type_start(t, structs, contracts)):
+                return None
             filtered.append(t)
     if not filtered:
-        return None
-
-    head = filtered[0]
-    if head[KIND] == TokenKind.IDENTIFIER and member:
-        pass  # contract-level: trust position
-    elif not _is_type_start(head, structs, contracts):
         return None
 
     name = ""

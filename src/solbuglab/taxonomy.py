@@ -109,7 +109,7 @@ def _parse_effect(raw: Sequence[str]) -> Effect:
 
 
 @lru_cache(maxsize=1)
-def _catalog() -> Tuple[Tuple[Category, ...], Tuple[BugKind, ...]]:
+def _catalog() -> Tuple[Tuple[Category, ...], Tuple[BugKind, ...], Dict[str, BugKind]]:
     raw = _load_raw()
     cats = tuple(Category(id=c["id"], name=c["name"], definition=c["definition"])
                  for c in raw["categories"])
@@ -142,7 +142,7 @@ def _catalog() -> Tuple[Tuple[Category, ...], Tuple[BugKind, ...]]:
             criteria_text=entry["criteria_text"],
             name_source=entry["name_source"],
         ))
-    return cats, tuple(kinds)
+    return cats, tuple(kinds), {kind.id: kind for kind in kinds}
 
 
 def categories() -> Tuple[Category, ...]:
@@ -158,10 +158,8 @@ def catalog_ids() -> FrozenSet[str]:
 
 
 def kind_by_id(bug_id: str) -> BugKind:
-    for kind in catalog():
-        if kind.id == bug_id:
-            return kind
-    raise KeyError(bug_id)
+    """The kind with id ``bug_id``; KeyError when there is none."""
+    return _catalog()[2][bug_id]
 
 
 def kinds_in_category(category_id: str) -> Tuple[BugKind, ...]:

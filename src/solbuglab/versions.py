@@ -24,6 +24,7 @@ intersected.  An empty intersection is representable and matches nothing.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 Version = Tuple[int, int, int]
@@ -96,10 +97,15 @@ class PragmaConstraint(NamedTuple):
         )
 
     def overlaps(self, other: "PragmaConstraint") -> bool:
-        if self.is_empty() or other.is_empty():
-            return False
-        merged = self.intersect(other)
-        return not merged.is_empty()
+        """True when some version lies in both ranges: every lower bound is
+        below every upper bound, an absent bound passing.  Same as
+        ``not self.intersect(other).is_empty()``, with no range built."""
+        for lower in (self.lower, other.lower):
+            if lower is not None:
+                for upper in (self.upper, other.upper):
+                    if upper is not None and lower >= upper:
+                        return False
+        return True
 
     def describe(self) -> str:
         if self.is_empty():
@@ -138,11 +144,14 @@ def constraint_from_clause(op: str, version: Version, raw: str = "",
     raise VersionSyntaxError(f"unknown constraint operator: {op!r}")
 
 
+@lru_cache(maxsize=256)
 def parse_constraint(text: str) -> PragmaConstraint:
     """Parse a constraint expression such as ``^0.4.24`` or ``>=0.4.22 <0.6.0``.
 
     Clauses are intersected.  ``*`` (or an empty string) means any version.
     Raises VersionSyntaxError unless the text is clauses and whitespace only.
+    Results are cached by text, so equal texts give one shared (immutable)
+    constraint; an error is raised afresh on every call.
     """
 
     stripped = text.strip()

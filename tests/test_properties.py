@@ -182,6 +182,19 @@ def _rebase_to_bytes(tokens: List[Token]) -> List[Token]:
 @example("x = '\u00e9\ud800\udcff /* \"open")
 @example("\u00b2 // \U0001f680\r\n\"a\\\n\tb")
 @example("uint256 x; // past the cached small ints\n" * 8)
+# ``/`` texts and non-ASCII ones are classified by the regex, the rest by
+# their first character
+@example("/")
+@example("/=")
+@example("//x")
+@example("/*x")
+@example("\u00b2")  # not a ``\d`` digit: punctuation
+@example("\u0663")  # a ``\d`` digit: a number
+@example("\x1c")  # whitespace to ``str.isspace``, punctuation here
+@example("$a")
+@example("_")
+@example('"')
+@example("'")
 def test_lex_matches_the_finditer_lexer_and_shares_atoms(source):
     tokens = lex(source)
     assert tokens == _reference_lex(source)

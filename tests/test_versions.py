@@ -2,6 +2,7 @@
 
 import pytest
 
+from solbuglab.taxonomy import kind_by_id
 from solbuglab.versions import (
     ANY_VERSION,
     PragmaConstraint,
@@ -77,6 +78,13 @@ def test_rejects_clause_free_text(text):
         parse_constraint(text)
 
 
+def test_equal_texts_share_one_constraint_and_errors_repeat():
+    assert parse_constraint("^0.4.24") is parse_constraint("^0.4.24")
+    for _ in range(3):  # an error is never cached as a result
+        with pytest.raises(VersionSyntaxError):
+            parse_constraint("^0.4.x")
+
+
 def test_contains_respects_half_open_upper():
     constraint = parse_constraint("^0.4.24")
     assert constraint.contains((0, 4, 24))
@@ -107,6 +115,25 @@ def test_intersection_narrows_and_empties():
 def test_version_applies(pragma, affected, expected):
     assert version_applies(parse_constraint(pragma),
                            parse_constraint(affected)) is expected
+
+
+# Every clause operator at a few versions, any version and an empty range.
+_GRID = [parse_constraint(op + v)
+         for op in ("^", "~", "=", "", ">=", ">", "<=", "<")
+         for v in ("0", "0.4", "0.4.24", "0.4.26", "0.5.0", "1.2.3")]
+_GRID += [ANY_VERSION, parse_constraint("*"),
+          parse_constraint("^0.6.0").intersect(parse_constraint("^0.4.0"))]
+
+
+def test_overlaps_is_a_non_empty_intersection():
+    for a in _GRID:
+        for b in _GRID:
+            assert a.overlaps(b) is (not a.intersect(b).is_empty()), (a, b)
+
+
+def test_gate_lookup_of_an_unknown_kind_raises_key_error():
+    with pytest.raises(KeyError):
+        kind_by_id("Z-z-ZZ")
 
 
 def test_overlap_is_symmetric():
