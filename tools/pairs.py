@@ -6,7 +6,7 @@ PARENT_DIR and CHANGE_DIR are roots of solbuglab checkouts (for example
 ``git archive HEAD~1 | tar -x -C DIR`` for the parent).  Each pair runs
 ``perfbench/run.py --workload W --seed N`` once in each checkout, one run at
 a time; the parent goes first in even pairs and the change in odd ones.
-``--seconds`` is passed on when given, so both sides run equally long.
+Each run lasts as long as the benchmark itself sets.
 
 For each end-to-end metric of the parent's ``BENCHMARK.json`` the output
 gives both sides' medians and quartiles, how many pairs the change won (ties
@@ -30,7 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 
 class Metric(NamedTuple):
@@ -99,12 +99,10 @@ def format_rows(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: Optional[float]) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its last output line."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"),
             "--workload", workload, "--seed", str(seed)]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, stdin=subprocess.DEVNULL,
                           capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -123,7 +121,6 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -142,7 +139,7 @@ def main() -> int:
     for pair in range(args.pairs):
         for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
             try:
-                result = run_once(sides[side], args.workload, args.seed, args.seconds)
+                result = run_once(sides[side], args.workload, args.seed)
             except RunError as exc:
                 print("error: %s" % exc, file=sys.stderr)
                 return 2
