@@ -27,7 +27,7 @@ from itertools import compress, count
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
-from .lexer import _TRIVIA, END, KIND, START, TEXT, TokenKind
+from .lexer import _TRIVIA, END, KIND, START, TEXT, Token, TokenKind
 from .model import (
     ContractDecl,
     FunctionDecl,
@@ -41,9 +41,15 @@ from .model import (
     VarDecl,
     Visibility,
 )
-from .parser import _find_matching, _join, _texts
+from .parser import _find_matching, _texts
 from .taxonomy import kind_by_id
 from .versions import version_applies
+
+# Module constants: attribute lookups on an Enum class are slow.
+_IDENTIFIER, _KEYWORD, _NUMBER = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.NUMBER
+_PUNCTUATION, _ASSIGNMENT = TokenKind.PUNCTUATION, StmtKind.ASSIGNMENT
+_STORAGE_TYPES = (TypeClass.USER_COMPOSITE, TypeClass.ARRAY)
+_STORAGE_LOCATIONS = (StorageLocation.STORAGE, StorageLocation.DEFAULT)
 
 
 class Finding(NamedTuple):
@@ -60,6 +66,10 @@ class Finding(NamedTuple):
 
 class UnknownRuleError(ValueError):
     """detect_all was asked for a bug id with no registered rule."""
+
+
+def _join(toks: Sequence[Token]) -> str:
+    return " ".join(map(_texts, toks))
 
 
 def _nospace(text: str) -> str:
@@ -109,7 +119,8 @@ class GuardIndex:
     by its end run and its start run, in a table of the compared texts of
     its length that is built once per run and length.  It must be exactly
     the compared text, with no word character or ``$`` just outside it;
-    whitespace in an operand never matches.
+    whitespace in an operand never matches.  Each operand's earliest guard
+    is kept, so a later query on it, with any ``before``, is one lookup.
     """
 
     def __init__(self, guards: Iterable[Guard], family: Tuple[re.Pattern, ...]) -> None:
@@ -117,6 +128,7 @@ class GuardIndex:
         # (operand first?, run) -> [(guard offset, flat condition, run edge)]
         self._sites: Optional[Dict[Tuple[bool, str], List[Tuple[int, str, int]]]] = None
         self._tables: Dict[Tuple[bool, str, int], Dict[str, int]] = {}
+        self._first: Dict[str, float] = {}  # operand -> offset of its earliest guard
 
     def _earliest(self, operand_first: bool, operand: str) -> float:
         if self._sites is None:  # built on first use: most functions cast nothing
@@ -144,8 +156,13 @@ class GuardIndex:
     def checked(self, operands: Iterable[str], before: float = float("inf")) -> bool:
         """True when a guard starting before offset ``before`` (default: any
         guard) compares one of ``operands`` against zero."""
-        return any(min(self._earliest(True, o), self._earliest(False, o)) < before
-                   for o in operands)
+        first = self._first
+        for o in operands:
+            if o not in first:
+                first[o] = min(self._earliest(True, o), self._earliest(False, o))
+            if first[o] < before:
+                return True
+        return False
 
 
 def _names(decls: Iterable[VarDecl], type_class: TypeClass) -> List[str]:
@@ -191,7 +208,7 @@ def _integer_sign(contract: ContractDecl, fn: FunctionDecl) -> Hits:
             continue
         toks = stmt.tokens
         for i, tok in enumerate(toks):
-            if (tok[KIND] is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok[TEXT])
+            if (tok[KIND] is not _KEYWORD or not _UINT_CAST_RE.match(tok[TEXT])
                     or i + 1 >= len(toks) or toks[i + 1][TEXT] != "("):
                 continue
             close = _find_matching(toks, i + 1)
@@ -202,15 +219,13 @@ def _integer_sign(contract: ContractDecl, fn: FunctionDecl) -> Hits:
                 locals_ = (s.decl for s in fn.body if s.decl is not None)
                 signed = set(_names((*contract.state_vars, *fn.params, *locals_),
                                     TypeClass.SIGNED_INT))
-            inner_idents = [t[TEXT] for t in inner if t[KIND] is TokenKind.IDENTIFIER]
+            inner_idents = [t[TEXT] for t in inner if t[KIND] is _IDENTIFIER]
             negative_literal = (inner[0][TEXT] == "-" and len(inner) >= 2
-                                and inner[1][KIND] is TokenKind.NUMBER)
+                                and inner[1][KIND] is _NUMBER)
             if not negative_literal and not any(n in signed for n in inner_idents):
                 continue
-            candidates = [_join(inner)]
-            if len(inner) == 1:
-                candidates.append(inner[0][TEXT])
-            else:
+            candidates = [_join(inner)]  # a one-token cast's operand is its text
+            if len(inner) > 1:
                 candidates.extend(n for n in inner_idents if n in signed)
             if guards.checked((_nospace(c) for c in candidates if c), tok[START]):
                 continue
@@ -241,13 +256,13 @@ def _wrong_operator(bug_id: str) -> DetectorEntry:
             if sign is None or sign[TEXT] not in ("+", "-") or sign[START] != tok[END]:
                 continue
             prev = toks[i - 1] if i else None
-            if (prev is not None and prev[KIND] is TokenKind.PUNCTUATION
+            if (prev is not None and prev[KIND] is _PUNCTUATION
                     and prev[END] == tok[START] and prev[TEXT][-1] in _PREV_EXCLUDE):
                 continue
             operand = next((toks[j] for j in range(i + 2, len(toks))
                             if toks[j][KIND] not in _TRIVIA), None)
             if operand is None or not (
-                    operand[KIND] in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
+                    operand[KIND] in (_IDENTIFIER, _NUMBER)
                     or operand[TEXT] in _SIGN_OPERANDS):
                 continue
             contract = model.contract_at(tok[START])
@@ -268,8 +283,7 @@ def _uninitialized_storage(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     for s in fn.body:
         d = s.decl
         if (d is not None and not d.has_initializer
-                and d.type_class in (TypeClass.USER_COMPOSITE, TypeClass.ARRAY)
-                and d.storage_location in (StorageLocation.STORAGE, StorageLocation.DEFAULT)):
+                and d.type_class in _STORAGE_TYPES and d.storage_location in _STORAGE_LOCATIONS):
             yield d.span, (f"local '{d.name}' ({d.type_text}) has no initializer and "
                            "no data location, so it aliases storage slot 0")
 
@@ -383,7 +397,7 @@ def _approve_race(contract: ContractDecl, fn: FunctionDecl) -> Hits:
         return
     guards = GuardIndex(fn.guards, EQUALS_ZERO)
     for s in fn.body:
-        if s.kind is not StmtKind.ASSIGNMENT or s.assign is None:
+        if s.kind is not _ASSIGNMENT or s.assign is None:
             continue
         lhs, rhs = _nospace(s.assign.lhs), _nospace(s.assign.rhs)
         if (_DOUBLE_INDEX_RE.match(lhs) and rhs in uint_params

@@ -10,13 +10,19 @@ spans partition each function body exactly (leading trivia sticks to the
 following statement, trailing trivia to the last one).
 
 Brackets follow one rule: a group ends at the partner of its opening
-bracket, counting that bracket's kind only (``_find_matching``).  An index
-is at the top level of a range when no group opened in the range encloses
-it (``_top_level``): in ``(a]; b`` the ``(`` encloses the rest, and a
-closer with nothing open is at the top level.  An unclosed group runs to its
-bound and takes no token as its closer: a contract to the next contract
-keyword or the end of input, a parameter list or function body to the end
-of its contract.
+bracket, counting that bracket's kind only.  One pass over a file's code
+tokens finds every bracket's partner (``_Code``): an unclosed opener's is
+the end of input, and a closer with nothing open has none.  Read within a
+bound, a group ends at its partner or at the bound, whichever comes first,
+so every group is skipped by one lookup.  ``_find_matching`` walks and
+counts to the same answer; the tests hold the table to it.  An index is at
+the top level of a range when no group opened in the range encloses it
+(``_top_level``): in ``(a]; b`` the ``(`` encloses the rest, and a closer
+with nothing open is at the top level.  An unclosed group runs to its bound
+and takes no token as its closer: a contract to the next contract keyword
+or the end of input, a parameter list or function body to the end of its
+contract.  The parser reads ``(lo, hi)`` ranges of the one token list and
+slices it only to build the records of the model.
 
 Declarations follow one rule too: a declaration ends at its first top-level
 ``;`` or just after its first top-level ``{...}`` group, and never reads past
@@ -50,6 +56,7 @@ which mirrors how the lexical detectors reason (and mis-reason) about code.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -94,12 +101,15 @@ _VISIBILITY = {
     "private": Visibility.PRIVATE,
 }
 # The class of each token text that ends or classifies a body statement or a
-# declaration when it is at its top level.  A declaration ends at a ``;`` or
-# after the group a ``{`` opens (``_DECL_ENDS``).
+# declaration when it is at its top level, and the openers with no class,
+# whose groups a walk skips.  A declaration ends at a ``;`` or after the
+# group a ``{`` opens (``_DECL_ENDS``).
 _MARKS = dict.fromkeys(("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="),
                        "compound")
-_MARKS.update({";": ";", "{": "{", "}": "}", "=": "=", "++": "bump", "--": "bump"})
+_MARKS.update({";": ";", "{": "{", "}": "}", "=": "=", "++": "bump", "--": "bump",
+               "(": None, "[": None})
 _DECL_ENDS = (";", "{")
+# Member names only ever lex as identifiers, and ``.`` as punctuation.
 _CALL_MEMBERS = frozenset(("call", "delegatecall", "callcode", "send", "transfer"))
 # The block headers of a body, each with whether a ``(...)`` group follows
 # its keyword.
@@ -109,25 +119,25 @@ _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 _DECLS = frozenset(("contract", "library", "interface"))
 _FUNCTIONS = frozenset(("function", "constructor", "fallback", "receive"))
+# The token texts that the one pass over a file's code tokens stops at.
+_INDEXED = frozenset((*_OPENERS, *_CLOSERS, *_DECLS, "struct"))
+# Module constants: attribute lookups on an Enum class are slow.
+_IDENTIFIER, _KEYWORD, _STRING = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.STRING
+_WORDS = (_IDENTIFIER, _KEYWORD)
+_CALLEE_PARTS = (_IDENTIFIER, _KEYWORD, TokenKind.NUMBER)
+_NO_LOCATION = StorageLocation.DEFAULT
 
 
 _texts = itemgetter(TEXT)
-
-
-def _join(toks: Sequence[Token]) -> str:
-    return " ".join(map(_texts, toks))
-
-
-def _span_of(toks: Sequence[Token]) -> Span:
-    if not toks:
-        return (0, 0)
-    return (toks[0][START], toks[-1][END])
+_new = tuple.__new__  # builds a record without its Python-level ``__new__``
 
 
 def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> int:
     """Index of the partner of the bracket ``ts[i]``.  From an opener it
     looks forward, no further than ``end`` (default ``len(ts)``), and gives
-    ``end`` if none; from a closer it looks back and gives -1 if none."""
+    ``end`` if none; from a closer it looks back and gives -1 if none.  The
+    walk that ``_Code.partner`` answers by lookup; the detectors walk a
+    statement's tokens with it."""
 
     own = ts[i][TEXT]
     if own in _OPENERS:
@@ -147,98 +157,142 @@ def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> in
     return stop
 
 
-def _skip_group(ts: Sequence[Token], i: int, end: int) -> int:
-    """Index just past the group opened at ``ts[i]``, clamped to ``end``;
-    ``end`` also when ``i`` is at or past it."""
-    return end if i >= end else min(_find_matching(ts, i, end) + 1, end)
+class _Code:
+    """A file's code tokens, read by index in ``(lo, hi)`` ranges: ``toks``,
+    their ``texts``, and ``partner``, the index of each bracket's partner of
+    its own kind (``len(toks)`` for an unclosed opener, -1 for a closer with
+    nothing open).  The same pass finds the struct and contract names
+    declared, and ``decls``: the index of each ``_DECLS`` keyword in order,
+    then ``len(toks)``.  ``diagnostics`` gathers the file's diagnostics."""
+
+    __slots__ = ("toks", "texts", "partner", "structs", "contracts", "decls", "diagnostics")
+
+    def __init__(self, toks: Sequence[Token]) -> None:
+        n = len(toks)
+        self.toks, self.texts = toks, list(map(_texts, toks))
+        self.partner, self.decls, self.diagnostics = [n] * n, [], []
+        self.structs: Set[str] = set()
+        self.contracts: Set[str] = set()
+        texts, partner = self.texts, self.partner
+        opened: Dict[str, List[int]] = {o: [] for o in _OPENERS}  # open groups by kind
+        for i in compress(count(), map(_INDEXED.__contains__, texts)):
+            text = texts[i]
+            if text in opened:
+                opened[text].append(i)
+            elif text in _CLOSERS:
+                stack = opened[_CLOSERS[text]]
+                if stack:
+                    j = stack.pop()
+                    partner[i], partner[j] = j, i
+                else:
+                    partner[i] = -1
+            else:
+                if text != "struct":
+                    self.decls.append(i)
+                if i + 1 < n and toks[i + 1][KIND] is _IDENTIFIER:
+                    (self.structs if text == "struct" else self.contracts).add(texts[i + 1])
+        self.decls.append(n)
+
+    def span(self, lo: int, hi: int) -> Span:
+        """The byte span of ``toks[lo:hi]``, (0, 0) when it is empty."""
+        return (self.toks[lo][START], self.toks[hi - 1][END]) if lo < hi else (0, 0)
 
 
-def _top_level(toks: Sequence[Token], lo: int, hi: int) -> Iterator[int]:
-    """The indexes in ``toks[lo:hi]`` that no group opened in that range
+def _top_level(code: _Code, lo: int, hi: int) -> Iterator[int]:
+    """The indexes in ``[lo, hi)`` that no group opened in that range
     encloses: an opener is at the top level, the walk resumes past its
     partner, and a closer with nothing open is at the top level too."""
 
+    texts, partner = code.texts, code.partner
     i = lo
     while i < hi:
         yield i
-        i = _skip_group(toks, i, hi) if toks[i][TEXT] in _OPENERS else i + 1
+        i = min(partner[i] + 1, hi) if texts[i] in _OPENERS else i + 1
 
 
 def _walk_marks(
-    toks: Sequence[Token], lo: int, hi: int, stops: Tuple[str, ...]
+    code: _Code, lo: int, hi: int, stops: Tuple[str, ...]
 ) -> Tuple[int, Dict[str, int]]:
-    """One walk over the top level of ``toks[lo:hi]``, up to the first token
+    """One walk over the top level of ``[lo, hi)``, up to the first token
     whose ``_MARKS`` class is in ``stops``: that token's index (``hi`` if
-    none), and each class met before it with its first index from ``lo``."""
+    none), and each class met before it with its first index."""
 
+    texts, partner = code.texts, code.partner
     marks: Dict[str, int] = {}
-    for j in _top_level(toks, lo, hi):
-        mark = _MARKS.get(toks[j][TEXT])
-        if mark is not None:
+    i = lo
+    while i < hi:
+        text = texts[i]
+        if text in _MARKS:
+            mark = _MARKS[text]
             if mark in stops:
-                return j, marks
-            marks.setdefault(mark, j - lo)
+                return i, marks
+            if mark is not None:
+                marks.setdefault(mark, i)
+            if text in _OPENERS:
+                i = min(partner[i], hi - 1)
+        i += 1
     return hi, marks
 
 
-def _decl_end(toks: Sequence[Token], stop: int, hi: int) -> int:
-    """Index past a declaration whose walk stopped at ``toks[stop]``: past
-    the group a ``{`` opens, else past the ``;``; ``hi`` at most."""
-    if stop < hi and toks[stop][TEXT] == "{":
-        return _skip_group(toks, stop, hi)
+def _decl_end(code: _Code, stop: int, hi: int) -> int:
+    """Index past a declaration whose walk stopped at ``stop``: past the
+    group a ``{`` opens, else past the ``;``; ``hi`` at most."""
+    if stop < hi and code.texts[stop] == "{":
+        return min(code.partner[stop] + 1, hi)
     return min(stop + 1, hi)
 
 
 def _is_word(tok: Token) -> bool:
-    return tok[KIND] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+    return tok[KIND] in _WORDS
 
 
 def _is_type_start(tok: Token, structs: Set[str], contracts: Set[str]) -> bool:
     kind, text = tok[KIND], tok[TEXT]
     if text == "mapping" or text in _ELEMENTARY_TYPES:
         return True
-    if kind == TokenKind.KEYWORD and (
+    if kind is _KEYWORD and (
         text.startswith("int") or text.startswith("uint")
         or text.startswith("bytes") or text.startswith("fixed")
         or text.startswith("ufixed")
     ):
         return True
-    return kind == TokenKind.IDENTIFIER and (text in structs or text in contracts)
+    return kind is _IDENTIFIER and (text in structs or text in contracts)
 
 
-def _classify_type(toks: Sequence[Token], structs: Set[str]) -> TypeClass:
-    if not toks:
-        return TypeClass.OTHER
-    first = toks[0][TEXT]
+def _classify_type(code: _Code, kept: List[int], type_texts: List[str]) -> TypeClass:
+    """The class of the type whose tokens are at ``kept``, with those
+    texts; the tokens between them are not brackets."""
+    first = type_texts[0]
     # a top-level ``[`` past the first token: ``T[]``, ``mapping(...)[...]``
-    if "[" in map(_texts, toks) and any(
-            toks[i][TEXT] == "[" for i in _top_level(toks, 1, len(toks))):
+    if "[" in type_texts and any(
+            code.texts[i] == "[" for i in _top_level(code, kept[0] + 1, kept[-1] + 1)):
         return TypeClass.ARRAY
     if first == "mapping":
         return TypeClass.MAPPING
-    if any(t[TEXT] in structs for t in toks):
+    if not code.structs.isdisjoint(type_texts):
         return TypeClass.USER_COMPOSITE
     if first in ("bytes", "string"):
         return TypeClass.ARRAY
     if first == "address":
         return TypeClass.ADDRESS
-    if first.startswith("uint"):
+    stem = first.rstrip("0123456789")  # only ``int``, ``uint`` and their sizes
+    if stem == "uint":
         return TypeClass.UNSIGNED_INT
-    if first.startswith("int"):
+    if stem == "int":
         return TypeClass.SIGNED_INT
     return TypeClass.OTHER
 
 
 def _parse_var_decl(
-    toks: Sequence[Token],
+    code: _Code,
+    lo: int,
+    hi: int,
     eq: Optional[int],
-    structs: Set[str],
-    contracts: Set[str],
     *,
     member: bool,
     allow_unnamed: bool = False,
 ) -> Optional[VarDecl]:
-    """Interpret ``toks`` (no trailing ``;``) as a variable declaration;
+    """Interpret ``[lo, hi)`` (no trailing ``;``) as a variable declaration;
     ``eq`` is the index of its first top-level ``=``, or None.
 
     ``member`` relaxes the leading-type check: at contract level any
@@ -246,443 +300,391 @@ def _parse_var_decl(
     contract name so that plain assignments are not mistaken for decls.
     """
 
-    location = StorageLocation.DEFAULT
-    filtered: List[Token] = []
-    for t in toks[:eq]:
-        text = t[TEXT]
-        if text in _LOCATIONS and location is StorageLocation.DEFAULT:
+    toks, texts = code.toks, code.texts
+    location = _NO_LOCATION
+    kept: List[int] = []
+    for i in range(lo, hi if eq is None else eq):
+        text = texts[i]
+        if text in _LOCATIONS and location is _NO_LOCATION:
             location = _LOCATIONS[text]
         elif text not in _DECL_FILTER:
             # the head is checked before any later token is looked at, so an
             # event, ``using`` or modifier is rejected on its keyword
             # (contract level trusts an identifier's position)
-            if not filtered and not (member and t[KIND] == TokenKind.IDENTIFIER
-                                     or _is_type_start(t, structs, contracts)):
+            if not kept and not (member and toks[i][KIND] is _IDENTIFIER
+                                 or _is_type_start(toks[i], code.structs, code.contracts)):
                 return None
-            filtered.append(t)
-    if not filtered:
+            kept.append(i)
+    if not kept:
         return None
 
     name = ""
-    type_toks: Sequence[Token] = filtered
-    if len(filtered) >= 2 and filtered[-1][KIND] == TokenKind.IDENTIFIER:
-        prev = filtered[-2]
-        if prev[TEXT] != "." and (_is_word(prev) or prev[TEXT] in (")", "]")):
-            name = filtered[-1][TEXT]
-            type_toks = filtered[:-1]
+    if len(kept) >= 2 and toks[kept[-1]][KIND] is _IDENTIFIER:
+        prev = kept[-2]
+        if texts[prev] != "." and (_is_word(toks[prev]) or texts[prev] in (")", "]")):
+            name = texts[kept.pop()]
     if not name and not allow_unnamed:
         return None
-    if any(t[TEXT] == "(" for t in type_toks) and type_toks[0][TEXT] != "mapping":
+    type_texts = [texts[i] for i in kept]
+    if "(" in type_texts and type_texts[0] != "mapping":
         return None  # function calls are not declarations
 
-    return VarDecl(
-        name=name,
-        type_text=_join(type_toks),
-        type_class=_classify_type(type_toks, structs),
-        storage_location=location,
-        has_initializer=eq is not None,
-        span=_span_of(toks),
-    )
+    return _new(VarDecl, (name, " ".join(type_texts), _classify_type(code, kept, type_texts),
+                          location, eq is not None, code.span(lo, hi)))
 
 
-def _scan_call(toks: Sequence[Token]) -> Optional[CallDetail]:
-    """Find the first ether-capable member call in a token run."""
+def _scan_call(code: _Code, lo: int, hi: int) -> Optional[CallDetail]:
+    """Find the first ether-capable member call in ``[lo, hi)``."""
 
-    for i in range(len(toks) - 1):
-        if toks[i][TEXT] != "." or toks[i][KIND] != TokenKind.PUNCTUATION:
-            continue
-        nxt = toks[i + 1]
-        if nxt[KIND] != TokenKind.IDENTIFIER or nxt[TEXT] not in _CALL_MEMBERS:
-            continue
-        callee = _callee_before(toks, i)
-        member = nxt[TEXT]
-        carries, gas, payload_empty = _call_suffix(toks, i + 2, member)
-        return CallDetail(
-            callee=callee,
-            member=member,
-            carries_value=carries,
-            gas_specified=gas,
-            payload_empty=payload_empty,
-        )
+    texts = code.texts
+    for i in range(lo, hi - 1):
+        if texts[i] == "." and texts[i + 1] in _CALL_MEMBERS:
+            member = texts[i + 1]
+            carries, gas, payload_empty = _call_suffix(code, i + 2, hi, member)
+            return CallDetail(
+                callee=_callee_before(code, lo, i),
+                member=member,
+                carries_value=carries,
+                gas_specified=gas,
+                payload_empty=payload_empty,
+            )
     return None
 
 
-def _callee_before(toks: Sequence[Token], dot: int) -> str:
+def _callee_before(code: _Code, lo: int, dot: int) -> str:
+    toks, texts, partner = code.toks, code.texts, code.partner
     start = dot
     j = dot - 1
-    while j >= 0:
-        t = toks[j]
-        if t[TEXT] in (")", "]"):
-            opened = _find_matching(toks, j)
-            if opened < 0:
+    while j >= lo:
+        if texts[j] in (")", "]"):
+            if partner[j] < lo:
                 break
-            start = opened
-            j = opened - 1
+            start = partner[j]
+            j = start - 1
             continue
-        if _is_word(t) or t[KIND] == TokenKind.NUMBER:
+        if toks[j][KIND] in _CALLEE_PARTS:
             start = j
             j -= 1
-            if j >= 0 and toks[j][TEXT] == ".":
+            if j >= lo and texts[j] == ".":
                 j -= 1
                 continue
-            break
         break
-    return _join(toks[start:dot])
+    return " ".join(texts[start:dot])
 
 
-def _call_suffix(
-    toks: Sequence[Token], k: int, member: str
-) -> Tuple[bool, bool, bool]:
+def _call_suffix(code: _Code, k: int, hi: int, member: str) -> Tuple[bool, bool, bool]:
     if member in ("send", "transfer"):
         # fixed 2300-gas stipend: value moves, gas is effectively pinned
         return True, True, True
 
+    texts, partner = code.texts, code.partner
     carries = False
     gas = False
     payload_empty = True
-    if k < len(toks) and toks[k][TEXT] == "{":
-        end = _find_matching(toks, k)
+    if k < hi and texts[k] == "{":
+        end = min(partner[k], hi)
         # a key follows the opening brace or a top-level comma
-        for j in _top_level(toks, k + 1, end):
-            if toks[j][TEXT] == ":" and toks[j - 2][TEXT] in ("{", ","):
-                carries |= toks[j - 1][TEXT] == "value"
-                gas |= toks[j - 1][TEXT] == "gas"
+        for j in _top_level(code, k + 1, end):
+            if texts[j] == ":" and texts[j - 2] in ("{", ","):
+                carries |= texts[j - 1] == "value"
+                gas |= texts[j - 1] == "gas"
         k = end + 1
     else:
         while (
-            k + 2 < len(toks)
-            and toks[k][TEXT] == "."
-            and toks[k + 1][TEXT] in ("value", "gas")
-            and toks[k + 2][TEXT] == "("
+            k + 2 < hi
+            and texts[k] == "."
+            and texts[k + 1] in ("value", "gas")
+            and texts[k + 2] == "("
         ):
-            if toks[k + 1][TEXT] == "value":
+            if texts[k + 1] == "value":
                 carries = True
             else:
                 gas = True
-            k = _skip_group(toks, k + 2, len(toks))
+            k = min(partner[k + 2] + 1, hi)
 
-    if k < len(toks) and toks[k][TEXT] == "(":
-        end = _find_matching(toks, k)
-        args = toks[k + 1 : end]
-        payload_empty = not args or (
-            len(args) == 1
-            and args[0][KIND] == TokenKind.STRING
-            and args[0][TEXT] in ('""', "''")
+    if k < hi and texts[k] == "(":
+        end = min(partner[k], hi)
+        payload_empty = end == k + 1 or (
+            end == k + 2
+            and code.toks[k + 1][KIND] is _STRING
+            and texts[k + 1] in ('""', "''")
         )
     return carries, gas, payload_empty
 
 
-def _guard(kind: str, toks: Sequence[Token], p: int, span: Span) -> Tuple[Guard, int]:
-    """Guard ``kind`` on the group opened at ``toks[p]``, and the index of
-    that group's closer (``len(toks)`` if unclosed).  With no ``(`` at
-    ``p`` the condition is empty at ``span`` and the index is ``p - 1``."""
+def _guard(code: _Code, kind: str, p: int, hi: int, span: Span) -> Tuple[Guard, int]:
+    """Guard ``kind`` on the group opened at ``p``, and the index of that
+    group's closer (``hi`` if unclosed before it).  With no ``(`` at ``p``
+    the condition is empty at ``span`` and the index is ``p - 1``."""
 
-    if p >= len(toks) or toks[p][TEXT] != "(":
+    if p >= hi or code.texts[p] != "(":
         return Guard(kind, "", span), p - 1
-    close = _find_matching(toks, p)
-    cond = toks[p + 1 : close]
-    return Guard(kind, _join(cond), _span_of(cond) if cond else span), close
+    close = min(code.partner[p], hi)
+    cond = " ".join(code.texts[p + 1 : close])
+    return Guard(kind, cond, code.span(p + 1, close) if close > p + 1 else span), close
 
 
 class _BodyParser:
     def __init__(
-        self,
-        toks: Sequence[Token],
-        body_span: Span,
-        state_vars: Set[str],
-        structs: Set[str],
-        contracts: Set[str],
-        diagnostics: List[Diagnostic],
+        self, code: _Code, lo: int, hi: int, body_span: Span, state_vars: Set[str]
     ):
-        self.toks = toks
+        self.code, self.toks, self.texts = code, code.toks, code.texts
+        self.lo, self.hi = lo, hi  # the body's tokens
         self.body_span = body_span
         self.state_vars = state_vars
-        self.structs = structs
-        self.contracts = contracts
-        self.diagnostics = diagnostics
         self.stmts: List[Stmt] = []
         self.guards: List[Guard] = []
         self.prev_end = body_span[0]  # where the next statement's span starts
         # the statement holding the last token runs to the body's end
-        self.last_end = toks[-1][END] if toks else None
+        self.last_end = code.toks[hi - 1][END] if hi > lo else None
 
     def run(self) -> Tuple[Tuple[Stmt, ...], Tuple[Guard, ...]]:
         """The body's statements, spans partitioning the body exactly, and
         its guards."""
 
-        bt = self.toks
-        i = 0
-        while i < len(bt):
-            text = bt[i][TEXT]
+        texts, hi = self.texts, self.hi
+        i = self.lo
+        while i < hi:
+            text = texts[i]
             if text in _HEADERS:
                 i = self._handle_header(i)
             elif text == "assembly":
                 i = self._handle_assembly(i)
             elif text in ("{", "}"):
-                self._emit(StmtKind.OPAQUE, bt[i : i + 1])
+                self._emit(StmtKind.OPAQUE, i, i + 1)
                 i += 1
             else:
                 i = self._handle_simple(i)
-        lo, hi = self.body_span
-        if not bt and hi > lo:
-            self.stmts.append(Stmt(kind=StmtKind.OPAQUE, span=(lo, hi), text=""))
+        start, end = self.body_span
+        if self.lo == hi and end > start:
+            self.stmts.append(Stmt(kind=StmtKind.OPAQUE, span=(start, end), text=""))
         return tuple(self.stmts), tuple(self.guards)
 
     def _handle_header(self, i: int) -> int:
         """A block header: its keyword, the ``(...)`` group if the keyword
         takes one, and a ``{`` that follows."""
 
-        bt = self.toks
-        kw = bt[i][TEXT]
+        code, texts, hi = self.code, self.texts, self.hi
+        kw = texts[i]
         after = i + 1
         if kw == "if":
-            guard, close = _guard("if", bt, after, (bt[i][START], bt[i][END]))
+            guard, close = _guard(code, "if", after, hi, code.span(i, after))
             self.guards.append(guard)
-            after = min(close + 1, len(bt))
-        elif _HEADERS[kw] and after < len(bt) and bt[after][TEXT] == "(":
-            after = _skip_group(bt, after, len(bt))
-        if after < len(bt) and bt[after][TEXT] == "{":
+            after = min(close + 1, hi)
+        elif _HEADERS[kw] and after < hi and texts[after] == "(":
+            after = min(code.partner[after] + 1, hi)
+        if after < hi and texts[after] == "{":
             after += 1
-        slice_ = bt[i:after]
         if kw == "if":
-            self._emit(StmtKind.IF_GUARD, slice_, call=_scan_call(slice_))
+            self._emit(StmtKind.IF_GUARD, i, after, call=_scan_call(code, i, after))
         else:
-            self._emit(StmtKind.OPAQUE, slice_)
+            self._emit(StmtKind.OPAQUE, i, after)
         return after
 
     def _handle_assembly(self, i: int) -> int:
-        bt = self.toks
-        end = _decl_end(bt, _walk_marks(bt, i, len(bt), _DECL_ENDS)[0], len(bt))
-        self._emit(StmtKind.OPAQUE, bt[i:end])
+        code, hi = self.code, self.hi
+        end = _decl_end(code, _walk_marks(code, i, hi, _DECL_ENDS)[0], hi)
+        self._emit(StmtKind.OPAQUE, i, end)
         return end
 
     def _handle_simple(self, i: int) -> int:
-        """A statement from ``bt[i]`` (not a brace) through the first
-        top-level ``;``, or up to a top-level ``}`` that ends the enclosing
-        block mid-statement."""
+        """A statement from ``i`` (not a brace) through the first top-level
+        ``;``, or up to a top-level ``}`` that ends the enclosing block
+        mid-statement."""
 
-        bt = self.toks
-        end, marks = _walk_marks(bt, i, len(bt), (";", "}"))
-        if end < len(bt) and bt[end][TEXT] == ";":
+        code, hi = self.code, self.hi
+        end, marks = _walk_marks(code, i, hi, (";", "}"))
+        if end < hi and self.texts[end] == ";":
             end += 1
-        elif end < len(bt):
-            self.diagnostics.append(
-                Diagnostic("statement not terminated", _span_of(bt[i:end])))
-        self._classify_and_emit(bt[i:end], marks)
+        elif end < hi:
+            code.diagnostics.append(Diagnostic("statement not terminated", code.span(i, end)))
+        self._classify_and_emit(i, end, marks)
         return end
 
-    def _emit(self, kind: StmtKind, slice_: Sequence[Token], **details) -> None:
-        end = slice_[-1][END]
+    def _emit(self, kind: StmtKind, lo: int, hi: int, call: Optional[CallDetail] = None,
+              assign: Optional[AssignDetail] = None, decl: Optional[VarDecl] = None) -> None:
+        toks = self.toks
+        end = toks[hi - 1][END]
         if end == self.last_end:
             end = self.body_span[1]
-        self.stmts.append(Stmt(kind=kind, span=(self.prev_end, end), text=_join(slice_),
-                               tokens=tuple(slice_), **details))
+        self.stmts.append(_new(Stmt, (kind, (self.prev_end, end), " ".join(self.texts[lo:hi]),
+                                      call, assign, decl, toks[lo:hi])))
         self.prev_end = end
 
-    def _classify_and_emit(self, slice_: Sequence[Token], marks: Dict[str, int]) -> None:
-        core = slice_[:-1] if slice_ and slice_[-1][TEXT] == ";" else slice_
-        if not core:
-            self._emit(StmtKind.OPAQUE, slice_)
+    def _classify_and_emit(self, lo: int, hi: int, marks: Dict[str, int]) -> None:
+        code, texts = self.code, self.texts
+        core = hi - 1 if texts[hi - 1] == ";" else hi  # the statement without its ";"
+        if core == lo:
+            self._emit(StmtKind.OPAQUE, lo, hi)
             return
-        first = core[0][TEXT]
+        first = texts[lo]
         eq = marks.get("=")
 
         if first == "return":
-            self._emit(StmtKind.RETURN, slice_, call=_scan_call(core))
+            self._emit(StmtKind.RETURN, lo, hi, call=_scan_call(code, lo, core))
             return
         if first in ("require", "assert"):
-            self.guards.append(_guard(first, core, 1, _span_of(core))[0])
-            self._emit(StmtKind.REQUIRE_OR_ASSERT, slice_, call=_scan_call(core))
+            self.guards.append(_guard(code, first, lo + 1, core, code.span(lo, core))[0])
+            self._emit(StmtKind.REQUIRE_OR_ASSERT, lo, hi, call=_scan_call(code, lo, core))
             return
         if first == "delete":
-            self._emit(StmtKind.ASSIGNMENT, slice_, assign=self._assign(core[1:]))
+            self._emit(StmtKind.ASSIGNMENT, lo, hi, assign=self._assign(lo + 1, core))
             return
         if first in ("emit", "revert", "throw", "break", "continue", "_"):
-            self._emit(StmtKind.OPAQUE, slice_, call=_scan_call(core))
+            self._emit(StmtKind.OPAQUE, lo, hi, call=_scan_call(code, lo, core))
             return
 
-        if _is_type_start(core[0], self.structs, self.contracts):
-            decl = _parse_var_decl(core, eq, self.structs, self.contracts, member=False)
+        if _is_type_start(self.toks[lo], code.structs, code.contracts):
+            decl = _parse_var_decl(code, lo, core, eq, member=False)
             if decl is not None:
-                call = _scan_call(core)
+                call = _scan_call(code, lo, core)
                 kind = StmtKind.EXTERNAL_CALL if call else StmtKind.LOCAL_VAR_DECL
-                self._emit(kind, slice_, decl=decl, call=call)
+                self._emit(kind, lo, hi, decl=decl, call=call)
                 return
 
         if eq is not None:
-            rhs = core[eq + 1 :]
-            call = _scan_call(rhs)
+            call = _scan_call(code, eq + 1, core)
             kind = StmtKind.EXTERNAL_CALL if call else StmtKind.ASSIGNMENT
-            self._emit(kind, slice_, assign=self._assign(core[:eq], rhs), call=call)
+            self._emit(kind, lo, hi, assign=self._assign(lo, eq, eq + 1, core), call=call)
             return
 
         comp = marks.get("compound")
         if comp is not None:
-            assign = self._assign(core[:comp], core[comp + 1 :])
-            self._emit(StmtKind.COMPOUND_ASSIGNMENT, slice_, assign=assign)
+            assign = self._assign(lo, comp, comp + 1, core)
+            self._emit(StmtKind.COMPOUND_ASSIGNMENT, lo, hi, assign=assign)
             return
 
         bump = marks.get("bump")
         if bump is not None:
-            assign = self._assign(core[:bump] + core[bump + 1 :])
-            self._emit(StmtKind.COMPOUND_ASSIGNMENT, slice_, assign=assign)
+            lhs = " ".join(texts[lo:bump] + texts[bump + 1 : core])
+            self._emit(StmtKind.COMPOUND_ASSIGNMENT, lo, hi,
+                       assign=self._assign(lo, core, lhs=lhs))
             return
 
-        call = _scan_call(core)
+        call = _scan_call(code, lo, core)
         kind = StmtKind.EXTERNAL_CALL if call else StmtKind.OPAQUE
-        self._emit(kind, slice_, call=call)
+        self._emit(kind, lo, hi, call=call)
 
-    def _assign(self, lhs: Sequence[Token], rhs: Sequence[Token] = ()) -> AssignDetail:
-        """The write to ``lhs``; its base is the first identifier in it."""
-        base = next((t[TEXT] for t in lhs if t[KIND] == TokenKind.IDENTIFIER), "")
-        return AssignDetail(lhs=_join(lhs), rhs=_join(rhs), lhs_base=base,
-                            lhs_is_state_var=base in self.state_vars)
-
-
-def _collect_global_names(sig: Sequence[Token]) -> Tuple[Set[str], Set[str], List[int]]:
-    """The struct and contract names declared in ``sig``, and the index of
-    each ``_DECLS`` keyword in order, then ``len(sig)``."""
-    structs: Set[str] = set()
-    contracts: Set[str] = set()
-    decls: List[int] = []
-    for i, tok in enumerate(sig):
-        if tok[TEXT] in _DECLS or tok[TEXT] == "struct":
-            text = tok[TEXT]
-            if text in _DECLS:
-                decls.append(i)
-            if i + 1 < len(sig) and sig[i + 1][KIND] == TokenKind.IDENTIFIER:
-                (structs if text == "struct" else contracts).add(sig[i + 1][TEXT])
-    decls.append(len(sig))
-    return structs, contracts, decls
+    def _assign(self, lo: int, hi: int, rhs_lo: int = 0, rhs_hi: int = 0,
+                lhs: Optional[str] = None) -> AssignDetail:
+        """The write to ``[lo, hi)`` (its text ``lhs`` when given) of
+        ``[rhs_lo, rhs_hi)``; its base is the first identifier in it."""
+        toks, texts = self.toks, self.texts
+        base = next((texts[i] for i in range(lo, hi) if toks[i][KIND] is _IDENTIFIER), "")
+        return _new(AssignDetail, (" ".join(texts[lo:hi]) if lhs is None else lhs,
+                                   " ".join(texts[rhs_lo:rhs_hi]), base, base in self.state_vars))
 
 
-def _parse_params(
-    toks: Sequence[Token], structs: Set[str], contracts: Set[str]
-) -> Tuple[VarDecl, ...]:
-    commas = [i for i in _top_level(toks, 0, len(toks)) if toks[i][TEXT] == ","]
+def _parse_params(code: _Code, lo: int, hi: int) -> Tuple[VarDecl, ...]:
+    commas = [i for i in _top_level(code, lo, hi) if code.texts[i] == ","]
     # a parameter slot is a declaration by position, so any leading
     # identifier may open a type here
-    decls = (_parse_var_decl(toks[a + 1 : b], _walk_marks(toks, a + 1, b, ())[1].get("="),
-                             structs, contracts, member=True, allow_unnamed=True)
-             for a, b in zip([-1] + commas, commas + [len(toks)]))
+    decls = (_parse_var_decl(code, a + 1, b, _walk_marks(code, a + 1, b, ())[1].get("="),
+                             member=True, allow_unnamed=True)
+             for a, b in zip([lo - 1] + commas, commas + [hi]))
     return tuple(d for d in decls if d is not None)
 
 
 def _parse_function(
-    sig: Sequence[Token],
-    i: int,
-    stop: int,
-    closer: int,
-    end: int,
-    state_names: Set[str],
-    structs: Set[str],
-    contracts: Set[str],
-    diagnostics: List[Diagnostic],
+    code: _Code, i: int, stop: int, closer: int, end: int, state_names: Set[str]
 ) -> FunctionDecl:
-    """The function starting at ``sig[i]``, whose header ends at ``sig[stop]``
-    and whose body, if the ``{`` there opens one, ends at ``sig[closer]``.
-    Reads no token at or past ``end``: the enclosing contract's closing
-    brace, or its bound if the contract has none."""
+    """The function starting at ``i``, whose header ends at ``stop`` and
+    whose body, if the ``{`` there opens one, ends at ``closer``.  Reads no
+    token at or past ``end``: the enclosing contract's closing brace, or its
+    bound if the contract has none."""
 
-    start = sig[i][START]
-    name = sig[i][TEXT]
+    toks, texts = code.toks, code.texts
+    start = toks[i][START]
+    name = texts[i]
     k = i + 1
     if name == "function":
         name = ""
-        if k < stop and _is_word(sig[k]):
-            name = sig[k][TEXT]
+        if k < stop and _is_word(toks[k]):
+            name = texts[k]
             k += 1
     is_fallback = name in ("", "fallback", "receive")
 
     params: Tuple[VarDecl, ...] = ()
-    if k < stop and sig[k][TEXT] == "(":
-        group = _find_matching(sig, k, stop)
+    if k < stop and texts[k] == "(":
+        group = min(code.partner[k], stop)
         if group >= stop:  # unclosed, so the header ran to ``end``
-            diagnostics.append(
-                Diagnostic("unclosed parameter list", (start, sig[end - 1][END]))
+            code.diagnostics.append(
+                Diagnostic("unclosed parameter list", (start, toks[end - 1][END]))
             )
-        params = _parse_params(sig[k + 1 : group], structs, contracts)
+        params = _parse_params(code, k + 1, group)
         k = group + 1
 
     visibility = Visibility.DEFAULT  # the last visibility word at the top level
-    for k in _top_level(sig, k, stop):
-        visibility = _VISIBILITY.get(sig[k][TEXT], visibility)
+    for k in _top_level(code, k, stop):
+        visibility = _VISIBILITY.get(texts[k], visibility)
 
-    if stop >= end or sig[stop][TEXT] == ";":  # no body: ends at its ";" or at ``end``
-        last = sig[min(stop, end - 1)][END]
+    if stop >= end or texts[stop] == ";":  # no body: ends at its ";" or at ``end``
+        last = toks[min(stop, end - 1)][END]
         return FunctionDecl(name, params, visibility, (), (start, last), (last, last),
                             is_fallback, has_body=False)
 
     if closer < end:
-        span_end, body_end = sig[closer][END], sig[closer][START]
+        span_end, body_end = toks[closer][END], toks[closer][START]
     else:
-        span_end = body_end = sig[end - 1][END]
-        diagnostics.append(Diagnostic("unclosed function body", (start, span_end)))
-    body_span = (sig[stop][END], body_end)
-    body, guards = _BodyParser(sig[stop + 1 : closer], body_span, state_names, structs,
-                               contracts, diagnostics).run()
+        span_end = body_end = toks[end - 1][END]
+        code.diagnostics.append(Diagnostic("unclosed function body", (start, span_end)))
+    body_span = (toks[stop][END], body_end)
+    body, guards = _BodyParser(code, stop + 1, closer, body_span, state_names).run()
     return FunctionDecl(name, params, visibility, body, (start, span_end), body_span,
                         is_fallback, guards=guards)
 
 
 def _parse_contract(
-    sig: Sequence[Token],
-    i: int,
-    bound: int,
-    inherited: Dict[str, Set[str]],
-    structs: Set[str],
-    contracts: Set[str],
-    diagnostics: List[Diagnostic],
+    code: _Code, i: int, bound: int, inherited: Dict[str, Set[str]]
 ) -> Tuple[Optional[ContractDecl], int]:
-    """The contract starting at ``sig[i]`` (None for a declaration with no
-    body), and the index past it, reading no token at or past ``bound``.
+    """The contract starting at ``i`` (None for a declaration with no body),
+    and the index past it, reading no token at or past ``bound``.
     ``inherited`` maps each contract parsed before it to its state variable
     names, its bases' included; the contract's own entry is added."""
 
-    kind = sig[i][TEXT]
-    start = sig[i][START]
+    toks, texts = code.toks, code.texts
+    kind = texts[i]
+    start = toks[i][START]
     name = "<anonymous>"
     k = i + 1
-    if k < bound and _is_word(sig[k]):
-        name = sig[k][TEXT]
+    if k < bound and _is_word(toks[k]):
+        name = texts[k]
         k += 1
 
-    open_ = _walk_marks(sig, k, bound, _DECL_ENDS)[0]
-    if open_ >= bound or sig[open_][TEXT] == ";":
+    open_ = _walk_marks(code, k, bound, _DECL_ENDS)[0]
+    if open_ >= bound or texts[open_] == ";":
         # forward declaration or garbage; nothing to record
         return None, min(open_ + 1, bound)
     bases: List[str] = []
-    if any(t[TEXT] == "is" for t in sig[k:open_]):
-        bases = [sig[j][TEXT] for j in _top_level(sig, k, open_)
-                 if sig[j][KIND] == TokenKind.IDENTIFIER]
-    close = resume = _find_matching(sig, open_, bound)
+    if "is" in texts[k:open_]:
+        bases = [texts[j] for j in _top_level(code, k, open_) if toks[j][KIND] is _IDENTIFIER]
+    close = resume = min(code.partner[open_], bound)
     if close < bound:
         resume += 1
     else:
-        diagnostics.append(Diagnostic(f"unclosed {kind} body", (start, sig[close - 1][END])))
+        code.diagnostics.append(
+            Diagnostic(f"unclosed {kind} body", (start, toks[close - 1][END])))
 
     state_vars: List[VarDecl] = []
     heads: List[Tuple[int, int, int]] = []  # a function's first index, header end, body end
     j = open_ + 1
     while j < close:  # each member ends at its first top-level ";" or "{...}" group
-        stop, marks = _walk_marks(sig, j, close, _DECL_ENDS)
-        group = stop < close and sig[stop][TEXT] == "{"
-        last = _find_matching(sig, stop, close) if group else stop
-        if sig[j][TEXT] in _FUNCTIONS:
+        stop, marks = _walk_marks(code, j, close, _DECL_ENDS)
+        group = stop < close and texts[stop] == "{"
+        last = min(code.partner[stop], close) if group else stop
+        if texts[j] in _FUNCTIONS:
             heads.append((j, stop, last))
         elif not group:  # a member with no body statements; only a state variable is kept
-            decl = _parse_var_decl(sig[j:stop], marks.get("="), structs, contracts,
-                                   member=True)
+            decl = _parse_var_decl(code, j, stop, marks.get("="), member=True)
             if decl is not None:
                 state_vars.append(decl)
         j = last + 1
 
     state_names = {v.name for v in state_vars}.union(*(inherited.get(b, ()) for b in bases))
     inherited[name] = state_names
-    functions = tuple(_parse_function(sig, *head, close, state_names, structs, contracts,
-                                      diagnostics) for head in heads)
+    functions = tuple(_parse_function(code, *head, close, state_names) for head in heads)
     contract = ContractDecl(name, kind, tuple(state_vars), functions,
-                            (start, sig[resume - 1][END]))
+                            (start, toks[resume - 1][END]))
     return contract, resume
 
 
@@ -690,43 +692,41 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
     """Parse Solidity source into a structural model.  Never raises."""
 
     tokens = tuple(lex(source))  # the lexer's list is freed here, not at return
-    sig = code_tokens(tokens)
-    diagnostics: List[Diagnostic] = []
-    structs, contract_names, decls = _collect_global_names(sig)
+    code = _Code(tuple(code_tokens(tokens)))
+    toks, texts = code.toks, code.texts
 
     pragma: Optional[PragmaConstraint] = None
     has_directive = False  # a ``pragma solidity`` was seen, parseable or not
     contracts: List[ContractDecl] = []
     inherited: Dict[str, Set[str]] = {}
     i = 0
-    for bound in decls:  # each declaration keyword ends the scans before it
+    for bound in code.decls:  # each declaration keyword ends the scans before it
         while i < bound:
-            if sig[i][TEXT] in _DECLS:
-                found, i = _parse_contract(sig, i, bound, inherited, structs, contract_names,
-                                           diagnostics)
+            if texts[i] in _DECLS:
+                found, i = _parse_contract(code, i, bound, inherited)
                 if found is not None:
                     contracts.append(found)
                 continue
-            stop = _walk_marks(sig, i, bound, _DECL_ENDS)[0]
-            if sig[i][TEXT] == "pragma" and i + 1 < stop and sig[i + 1][TEXT] == "solidity":
+            stop = _walk_marks(code, i, bound, _DECL_ENDS)[0]
+            if texts[i] == "pragma" and i + 1 < stop and texts[i + 1] == "solidity":
                 has_directive = True
-                clause = _join(sig[i + 2 : stop])
+                clause = " ".join(texts[i + 2 : stop])
                 try:
                     if not clause:  # an empty clause names no version
                         raise VersionSyntaxError(clause)
                     c = parse_constraint(clause)
                     pragma = c if pragma is None else pragma.intersect(c)
                 except VersionSyntaxError:
-                    span = (sig[i][START], sig[min(stop, bound - 1)][END])
-                    diagnostics.append(
+                    span = (toks[i][START], toks[min(stop, bound - 1)][END])
+                    code.diagnostics.append(
                         Diagnostic(f"unparseable version pragma: {clause!r}", span))
-            i = _decl_end(sig, stop, bound)
+            i = _decl_end(code, stop, bound)
 
     # An unknown version could be any: every rule runs.  An unparseable
     # directive has its diagnostic already.
     if pragma is None or pragma.is_empty():
         if pragma is not None or not has_directive:
-            diagnostics.append(Diagnostic(
+            code.diagnostics.append(Diagnostic(
                 "no solidity version pragma" if pragma is None
                 else "contradictory version pragmas match no compiler", (0, 0)))
         pragma = ANY_VERSION
@@ -735,7 +735,7 @@ def parse(source: str, file_path: str = "<string>") -> SourceModel:
         file_path=file_path,
         pragma=pragma,
         contracts=tuple(contracts),
-        diagnostics=tuple(diagnostics),
+        diagnostics=tuple(code.diagnostics),
         tokens=tokens,
     )
 

@@ -78,6 +78,20 @@ def test_integer_sign_ignores_unsigned_sources():
     assert findings == []
 
 
+@pytest.mark.parametrize("state_type, findings", [
+    ("int", ["A-a-IS"]), ("int64", ["A-a-IS"]), ("intFlag", []), ("int_t", []),
+])
+def test_integer_sign_reads_only_int_types_as_signed(state_type, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            %s f;
+            function g() public returns (uint256) {
+                return uint(f);
+            }
+        }
+    """ % state_type)) == findings
+
+
 # --- A-a-W: '=+' / '=-' where a compound op was meant -------------------
 
 def test_wrong_operator_both_signs():
@@ -226,6 +240,20 @@ def test_short_address_ignores_internal_helpers():
         }
     """)
     assert findings == []
+
+
+@pytest.mark.parametrize("amount_type, findings", [
+    ("uint", ["E-a-SA"]), ("uint256", ["E-a-SA"]), ("uintLike", []), ("uint_t", []),
+])
+def test_short_address_reads_only_uint_types_as_amounts(amount_type, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            mapping(address => uint256) balances;
+            function transfer(address to, %s amount) public {
+                balances[to] = amount;
+            }
+        }
+    """ % amount_type)) == findings
 
 
 # --- E-a-SW: ecrecover equality with no zero-address rejection ----------

@@ -1,10 +1,15 @@
 """Structural parser: contracts, functions, statement classification, and
 the guarantees the detectors lean on."""
 
+import glob
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from solbuglab import parser
 from solbuglab.detectors import detect_all
 from solbuglab.model import (
     StmtKind,
@@ -12,7 +17,7 @@ from solbuglab.model import (
     TypeClass,
     Visibility,
 )
-from solbuglab.parser import parse
+from solbuglab.parser import parse, parse_file
 
 from conftest import fixture_source
 
@@ -141,6 +146,20 @@ def test_param_classification():
     # a closer with nothing open is ignored: the comma still splits
     model = parse("contract C { function f(uint] a, address b) public {} }")
     assert [p.name for p in model.contracts[0].functions[0].params] == ["a", "b"]
+
+
+@pytest.mark.parametrize("type_name, type_class", [
+    ("uint", TypeClass.UNSIGNED_INT), ("uint8", TypeClass.UNSIGNED_INT),
+    ("int", TypeClass.SIGNED_INT), ("int256", TypeClass.SIGNED_INT),
+    ("uintLike", TypeClass.OTHER), ("intFlag", TypeClass.OTHER),
+    ("uint_t", TypeClass.OTHER), ("integer", TypeClass.OTHER),
+])
+def test_only_int_and_uint_and_their_sizes_are_integers(type_name, type_class):
+    model = parse("contract C { %s s; function f(address to, %s p) public {} }"
+                  % (type_name, type_name))
+    (state,) = model.contracts[0].state_vars
+    params = model.contracts[0].functions[0].params
+    assert [state.type_class, params[1].type_class] == [type_class, type_class]
 
 
 def test_require_becomes_guard():
@@ -454,3 +473,23 @@ def test_superscript_digit_in_body_parses():
                                          StmtKind.ASSIGNMENT]
     assert body_partition_holds(fn)
 
+
+
+def test_the_parser_never_walks_for_a_partner(monkeypatch, tmp_path, contracts_dir):
+    """Every group the parser reads is skipped by a lookup in its partner
+    table; the walk is left to the detectors and the tests."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(contracts_dir, "*.sol")))
+    for workload in ("wide", "guarded"):
+        out = str(tmp_path / workload)
+        subprocess.run([sys.executable, os.path.join(root, "perfbench", "gen.py"),
+                        "--workload", workload, "--seed", "1", "--out", out], check=True,
+                       stdout=subprocess.DEVNULL)
+        paths += sorted(glob.glob(os.path.join(out, "contracts", "*.sol")))
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the parser walked to a bracket partner")
+
+    monkeypatch.setattr(parser, "_find_matching", walk)
+    models = [parse_file(path) for path in paths]
+    assert len(models) > 18 and all(m.contracts for m in models)

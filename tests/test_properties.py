@@ -5,8 +5,11 @@ The lexer gives the tokens of the ``finditer`` lexer it replaced, the guard
 index the verdicts of the per-guard regex predicates it replaced, and the
 token-walking rules (A-a-W, A-a-IS, E-a-SW) the findings of the versions
 that read token fields by name and walked every token; the replaced
-versions are kept here unchanged as oracles."""
+versions are kept here unchanged as oracles.  The parser's bracket-partner
+table gives what ``_find_matching`` walks to, and a guard index that keeps
+answers across queries gives what a fresh one does."""
 
+import random
 import re
 from types import SimpleNamespace
 from typing import Dict, Iterable, List
@@ -32,7 +35,7 @@ from solbuglab.lexer import (
     _TRIVIA, KIND, TEXT, Token, TokenKind, _classify_word, code_tokens, lex,
 )
 from solbuglab.model import Guard, TypeClass
-from solbuglab.parser import _find_matching, _top_level, parse
+from solbuglab.parser import _Code, _find_matching, _top_level, parse
 
 from test_parser import body_partition_holds
 
@@ -296,13 +299,40 @@ _BRACKETS = st.lists(st.sampled_from(("(", ")", "[", "]", "{", "}", ";", "x", "c
 def test_top_level_never_enters_a_group(source):
     """One bracket rule: the top-level walk skips each top-level opener's
     group through its partner as ``_find_matching`` finds it."""
-    code = code_tokens(lex(source))
-    n = len(code)
+    code = _Code(code_tokens(lex(source)))
+    n = len(code.toks)
     top = list(_top_level(code, 0, n))
     for i in top:
-        if code[i][TEXT] in "([{":
-            close = _find_matching(code, i, n)
+        if code.texts[i] in "([{":
+            close = _find_matching(code.toks, i, n)
             assert not [j for j in top if i < j <= close], (i, close)
+
+
+_OPENER_TEXTS, _CLOSER_TEXTS = ("(", "[", "{"), (")", "]", "}")
+# Token texts as the lexer splits source, and free texts, brackets among them.
+_TOKEN_TEXTS = ((_BRACKETS | _SOLIDITY_ISH).map(lambda s: [t.text for t in code_tokens(lex(s))])
+                | st.lists(st.sampled_from(_OPENER_TEXTS + _CLOSER_TEXTS) | st.text(max_size=3),
+                           max_size=60))
+
+
+@_SETTINGS
+@given(_TOKEN_TEXTS, st.randoms(use_true_random=False))
+@example(["(", "[", ")", "]", "{", "(", "}"], random.Random(0))
+def test_partner_table_answers_as_the_walk(texts, rnd):
+    """A lookup in the partner table, clamped to a bound, gives what
+    ``_find_matching`` walks to: forward from each opener to any end, and
+    back from each closer to any start."""
+    toks = [Token(TokenKind.PUNCTUATION, text, 0, 0) for text in texts]
+    partner = _Code(toks).partner
+    n = len(toks)
+    for i, text in enumerate(texts):
+        if text in _OPENER_TEXTS:
+            for end in {n, i + 1, rnd.randint(i + 1, n)}:
+                assert min(partner[i], end) == _find_matching(toks, i, end), (i, end)
+        elif text in _CLOSER_TEXTS:
+            for lo in {0, i, rnd.randint(0, i)}:
+                walked = _find_matching(toks[lo:], i - lo)
+                assert (partner[i] - lo if partner[i] >= lo else -1) == walked, (i, lo)
 
 
 # --- guard index against the regex predicates it replaced ------------------
@@ -445,6 +475,29 @@ def test_equals_guard_index_matches_approve_zero_regexes(case):
         fn = SimpleNamespace(guards=_before(guards, offset))
         expected = _approve_zero_guarded(fn, value_param, lhs)
         assert index.checked((value_param, lhs), offset) == expected
+
+
+_FAMILIES = {
+    "order": (ORDER_VS_ZERO, (">=", "<=", ">", "<"), ("0",)),
+    "address": (ADDRESS_VS_ZERO, ("==", "!="), ("address(0)", "address(0x00)", "0x0")),
+    "equals": (EQUALS_ZERO, ("==",), ("0",)),
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@_SETTINGS
+@given(st.data())
+def test_one_guard_index_answers_as_a_fresh_one(family, data):
+    """An index keeps each operand's earliest guard across queries: asked in
+    any order, with repeated operands and any offsets, it answers as an
+    index built for the one query."""
+    patterns, operators, zeros = _FAMILIES[family]
+    guards, queries = data.draw(_guard_cases(operators, zeros, (0, 3)))
+    again = [(operands + operands[:1], data.draw(_CAST)) for operands, _ in queries]
+    index = GuardIndex(guards, patterns)
+    for operands, before in data.draw(st.permutations(queries + again)):
+        flat = [_nospace(o) for o in operands if o]
+        assert index.checked(flat, before) == GuardIndex(guards, patterns).checked(flat, before)
 
 
 # --- token-walking rules against the versions they replaced ----------------
