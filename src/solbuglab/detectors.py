@@ -27,7 +27,8 @@ from itertools import compress, count
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
-from .lexer import _TRIVIA, END, KIND, START, TEXT, Token, TokenKind
+from .lexer import (_IDENTIFIER, _KEYWORD, _NUMBER, _PUNCTUATION, _TRIVIA, END, KIND, START,
+                    TEXT, Token)
 from .model import (
     ContractDecl,
     FunctionDecl,
@@ -46,8 +47,7 @@ from .taxonomy import kind_by_id
 from .versions import version_applies
 
 # Module constants: attribute lookups on an Enum class are slow.
-_IDENTIFIER, _KEYWORD, _NUMBER = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.NUMBER
-_PUNCTUATION, _ASSIGNMENT = TokenKind.PUNCTUATION, StmtKind.ASSIGNMENT
+_ASSIGNMENT = StmtKind.ASSIGNMENT
 _STORAGE_TYPES = (TypeClass.USER_COMPOSITE, TypeClass.ARRAY)
 _STORAGE_LOCATIONS = (StorageLocation.STORAGE, StorageLocation.DEFAULT)
 
@@ -119,8 +119,7 @@ class GuardIndex:
     by its end run and its start run, in a table of the compared texts of
     its length that is built once per run and length.  It must be exactly
     the compared text, with no word character or ``$`` just outside it;
-    whitespace in an operand never matches.  Each operand's earliest guard
-    is kept, so a later query on it, with any ``before``, is one lookup.
+    whitespace in an operand never matches.
     """
 
     def __init__(self, guards: Iterable[Guard], family: Tuple[re.Pattern, ...]) -> None:
@@ -128,7 +127,6 @@ class GuardIndex:
         # (operand first?, run) -> [(guard offset, flat condition, run edge)]
         self._sites: Optional[Dict[Tuple[bool, str], List[Tuple[int, str, int]]]] = None
         self._tables: Dict[Tuple[bool, str, int], Dict[str, int]] = {}
-        self._first: Dict[str, float] = {}  # operand -> offset of its earliest guard
 
     def _earliest(self, operand_first: bool, operand: str) -> float:
         if self._sites is None:  # built on first use: most functions cast nothing
@@ -156,13 +154,8 @@ class GuardIndex:
     def checked(self, operands: Iterable[str], before: float = float("inf")) -> bool:
         """True when a guard starting before offset ``before`` (default: any
         guard) compares one of ``operands`` against zero."""
-        first = self._first
-        for o in operands:
-            if o not in first:
-                first[o] = min(self._earliest(True, o), self._earliest(False, o))
-            if first[o] < before:
-                return True
-        return False
+        return any(min(self._earliest(True, o), self._earliest(False, o)) < before
+                   for o in operands)
 
 
 def _names(decls: Iterable[VarDecl], type_class: TypeClass) -> List[str]:

@@ -54,8 +54,11 @@ class Token(NamedTuple):
     end: int
 
 
-# A module constant: attribute lookups on an Enum class are slow.
+# Module constants: attribute lookups on an Enum class are slow.  The
+# parser and the detectors import these for their per-token comparisons.
 _TRIVIA = (TokenKind.WHITESPACE, TokenKind.COMMENT)
+_IDENTIFIER, _KEYWORD, _NUMBER = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.NUMBER
+_STRING, _PUNCTUATION = TokenKind.STRING, TokenKind.PUNCTUATION
 
 KEYWORDS = frozenset(
     """

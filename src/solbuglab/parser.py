@@ -60,7 +60,8 @@ from itertools import compress, count
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .lexer import END, KIND, START, TEXT, Token, TokenKind, code_tokens, lex
+from .lexer import (_IDENTIFIER, _KEYWORD, _NUMBER, _STRING, END, KIND, START, TEXT, Token,
+                    code_tokens, lex)
 from .model import (
     AssignDetail,
     CallDetail,
@@ -122,14 +123,12 @@ _FUNCTIONS = frozenset(("function", "constructor", "fallback", "receive"))
 # The token texts that the one pass over a file's code tokens stops at.
 _INDEXED = frozenset((*_OPENERS, *_CLOSERS, *_DECLS, "struct"))
 # Module constants: attribute lookups on an Enum class are slow.
-_IDENTIFIER, _KEYWORD, _STRING = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.STRING
 _WORDS = (_IDENTIFIER, _KEYWORD)
-_CALLEE_PARTS = (_IDENTIFIER, _KEYWORD, TokenKind.NUMBER)
+_CALLEE_PARTS = (_IDENTIFIER, _KEYWORD, _NUMBER)
 _NO_LOCATION = StorageLocation.DEFAULT
 
 
 _texts = itemgetter(TEXT)
-_new = tuple.__new__  # builds a record without its Python-level ``__new__``
 
 
 def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> int:
@@ -329,8 +328,9 @@ def _parse_var_decl(
     if "(" in type_texts and type_texts[0] != "mapping":
         return None  # function calls are not declarations
 
-    return _new(VarDecl, (name, " ".join(type_texts), _classify_type(code, kept, type_texts),
-                          location, eq is not None, code.span(lo, hi)))
+    return VarDecl(name=name, type_text=" ".join(type_texts),
+                   type_class=_classify_type(code, kept, type_texts), storage_location=location,
+                   has_initializer=eq is not None, span=code.span(lo, hi))
 
 
 def _scan_call(code: _Code, lo: int, hi: int) -> Optional[CallDetail]:
@@ -507,8 +507,9 @@ class _BodyParser:
         end = toks[hi - 1][END]
         if end == self.last_end:
             end = self.body_span[1]
-        self.stmts.append(_new(Stmt, (kind, (self.prev_end, end), " ".join(self.texts[lo:hi]),
-                                      call, assign, decl, toks[lo:hi])))
+        self.stmts.append(Stmt(kind=kind, span=(self.prev_end, end),
+                               text=" ".join(self.texts[lo:hi]), call=call, assign=assign,
+                               decl=decl, tokens=toks[lo:hi]))
         self.prev_end = end
 
     def _classify_and_emit(self, lo: int, hi: int, marks: Dict[str, int]) -> None:
@@ -571,8 +572,9 @@ class _BodyParser:
         ``[rhs_lo, rhs_hi)``; its base is the first identifier in it."""
         toks, texts = self.toks, self.texts
         base = next((texts[i] for i in range(lo, hi) if toks[i][KIND] is _IDENTIFIER), "")
-        return _new(AssignDetail, (" ".join(texts[lo:hi]) if lhs is None else lhs,
-                                   " ".join(texts[rhs_lo:rhs_hi]), base, base in self.state_vars))
+        return AssignDetail(lhs=" ".join(texts[lo:hi]) if lhs is None else lhs,
+                            rhs=" ".join(texts[rhs_lo:rhs_hi]), lhs_base=base,
+                            lhs_is_state_var=base in self.state_vars)
 
 
 def _parse_params(code: _Code, lo: int, hi: int) -> Tuple[VarDecl, ...]:

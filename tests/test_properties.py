@@ -6,8 +6,7 @@ index the verdicts of the per-guard regex predicates it replaced, and the
 token-walking rules (A-a-W, A-a-IS, E-a-SW) the findings of the versions
 that read token fields by name and walked every token; the replaced
 versions are kept here unchanged as oracles.  The parser's bracket-partner
-table gives what ``_find_matching`` walks to, and a guard index that keeps
-answers across queries gives what a fresh one does."""
+table gives what ``_find_matching`` walks to."""
 
 import random
 import re
@@ -475,29 +474,6 @@ def test_equals_guard_index_matches_approve_zero_regexes(case):
         fn = SimpleNamespace(guards=_before(guards, offset))
         expected = _approve_zero_guarded(fn, value_param, lhs)
         assert index.checked((value_param, lhs), offset) == expected
-
-
-_FAMILIES = {
-    "order": (ORDER_VS_ZERO, (">=", "<=", ">", "<"), ("0",)),
-    "address": (ADDRESS_VS_ZERO, ("==", "!="), ("address(0)", "address(0x00)", "0x0")),
-    "equals": (EQUALS_ZERO, ("==",), ("0",)),
-}
-
-
-@pytest.mark.parametrize("family", _FAMILIES)
-@_SETTINGS
-@given(st.data())
-def test_one_guard_index_answers_as_a_fresh_one(family, data):
-    """An index keeps each operand's earliest guard across queries: asked in
-    any order, with repeated operands and any offsets, it answers as an
-    index built for the one query."""
-    patterns, operators, zeros = _FAMILIES[family]
-    guards, queries = data.draw(_guard_cases(operators, zeros, (0, 3)))
-    again = [(operands + operands[:1], data.draw(_CAST)) for operands, _ in queries]
-    index = GuardIndex(guards, patterns)
-    for operands, before in data.draw(st.permutations(queries + again)):
-        flat = [_nospace(o) for o in operands if o]
-        assert index.checked(flat, before) == GuardIndex(guards, patterns).checked(flat, before)
 
 
 # --- token-walking rules against the versions they replaced ----------------
