@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import compress, count
+from operator import indexOf
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
 from .lexer import (_IDENTIFIER, _KEYWORD, _NUMBER, _PUNCTUATION, _TRIVIA, END, KIND, START,
-                    TEXT, Token)
+                    TEXT, Token, _partners, _texts)
 from .model import (
     ContractDecl,
     FunctionDecl,
@@ -42,7 +42,6 @@ from .model import (
     VarDecl,
     Visibility,
 )
-from .parser import _find_matching, _texts
 from .taxonomy import kind_by_id
 from .versions import version_applies
 
@@ -192,7 +191,8 @@ _UINT_CAST_RE = re.compile(r"^uint\d*$")
 
 def _integer_sign(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     """Signed values converted to unsigned without a zero lower-bound check;
-    a statement whose text lacks ``uint`` holds no cast and is not walked."""
+    a statement whose text lacks ``uint`` holds no cast and is not walked.
+    Each cast's ``)`` is read from its statement's ``_partners``."""
 
     guards = GuardIndex(fn.guards, ORDER_VS_ZERO)
     signed: Optional[Set[str]] = None  # built at the first cast
@@ -200,11 +200,14 @@ def _integer_sign(contract: ContractDecl, fn: FunctionDecl) -> Hits:
         if "uint" not in stmt.text:
             continue
         toks = stmt.tokens
+        partner: Optional[List[int]] = None
         for i, tok in enumerate(toks):
             if (tok[KIND] is not _KEYWORD or not _UINT_CAST_RE.match(tok[TEXT])
                     or i + 1 >= len(toks) or toks[i + 1][TEXT] != "("):
                 continue
-            close = _find_matching(toks, i + 1)
+            if partner is None:
+                partner = _partners(list(map(_texts, toks)))
+            close = partner[i + 1]
             inner = toks[i + 2 : close]
             if close == len(toks) or not inner:
                 continue
@@ -236,22 +239,25 @@ def _wrong_operator(bug_id: str) -> DetectorEntry:
 
     A file-level rule: it reads the whole token stream, so it also flags
     state-variable initializers, modifiers and code outside every contract
-    (filed under ``<top>``).  The ``=`` tokens are found by a C-level search
-    over the token texts before any token is looked at; ``=``, ``+`` and
-    ``-`` only ever lex as punctuation."""
+    (filed under ``<top>``).  C-level searches of the token texts find each
+    ``=``, and only one that a sign follows is read further; ``=``, ``+`` and
+    ``-`` only ever lex as punctuation, and neighbouring tokens touch."""
 
     def rule(model: SourceModel) -> List[Finding]:
         findings: List[Finding] = []
         toks = model.tokens
-        for i in compress(count(), map("=".__eq__, map(_texts, toks))):
-            tok = toks[i]
-            sign = toks[i + 1] if i + 1 < len(toks) else None
-            if sign is None or sign[TEXT] not in ("+", "-") or sign[START] != tok[END]:
+        texts, i = map(_texts, toks), -1  # no list: a large file's would raise peak RSS
+        while True:
+            try:
+                i += indexOf(texts, "=") + 1
+            except ValueError:
+                break
+            if i + 1 == len(toks) or toks[i + 1][TEXT] not in ("+", "-"):
                 continue
             prev = toks[i - 1] if i else None
-            if (prev is not None and prev[KIND] is _PUNCTUATION
-                    and prev[END] == tok[START] and prev[TEXT][-1] in _PREV_EXCLUDE):
+            if prev is not None and prev[KIND] is _PUNCTUATION and prev[TEXT][-1] in _PREV_EXCLUDE:
                 continue
+            tok, sign = toks[i], toks[i + 1]
             operand = next((toks[j] for j in range(i + 2, len(toks))
                             if toks[j][KIND] not in _TRIVIA), None)
             if operand is None or not (
@@ -337,7 +343,8 @@ def _wrong_signature_guard(contract: ContractDecl, fn: FunctionDecl) -> Hits:
 
     On any malformed input ecrecover yields the zero address, so comparing the
     result to a supplied address succeeds when both are zero.  Only a
-    statement whose text contains ``ecrecover`` has its tokens walked.
+    statement whose text contains ``ecrecover`` has its tokens walked, and
+    only one with two ``=`` or more is flattened: every pattern needs ``==``.
     """
 
     rec_stmts = [s for s in fn.body
@@ -356,6 +363,8 @@ def _wrong_signature_guard(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     compare_stmt: Optional[Stmt] = None
     comparands: List[str] = []
     for s in fn.body:
+        if s.text.count("=") < 2:
+            continue
         flat = _nospace(s.text)
         patterns = var_patterns
         if "ecrecover" in flat and "==" in flat:

@@ -23,12 +23,18 @@ starts with ``/`` (a comment or an operator) or holds a non-ASCII character
 (``²`` is punctuation, ``٣`` a number) is matched against the alternatives
 again.  A word is a keyword when it is in ``KEYWORDS`` or is a sized type
 such as ``uint8`` or ``bytes32``, and an identifier otherwise.
+
+The program's one bracket rule is ``_partners``: a group ends at the
+partner of its opening bracket, counting that bracket's kind only.  The
+parser reads it for a file's code tokens, A-a-IS for a statement's tokens.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import compress, count
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 
@@ -45,6 +51,7 @@ class TokenKind(Enum):
 # Field positions in a Token: ``tok[TEXT]`` reads what ``tok.text`` does,
 # without the attribute lookup.
 KIND, TEXT, START, END = range(4)
+_texts = itemgetter(TEXT)
 
 
 class Token(NamedTuple):
@@ -152,3 +159,28 @@ def code_tokens(tokens: Sequence[Token]) -> List[Token]:
     """Tokens with whitespace and comments dropped."""
 
     return [t for t in tokens if t[KIND] not in _TRIVIA]
+
+
+_OPENERS = frozenset("([{")
+
+
+def _partners(texts: Sequence[str]) -> List[int]:
+    """The index of each bracket's partner of its own kind in ``texts``:
+    ``len(texts)`` for an unclosed opener, -1 for a closer with nothing
+    open (and ``len(texts)`` at a text that is no bracket)."""
+
+    n = len(texts)
+    partner = [n] * n
+    paren, square, brace = [], [], []  # the open groups of each kind
+    opened = {"(": paren, ")": paren, "[": square, "]": square, "{": brace, "}": brace}
+    for i in compress(count(), map(opened.__contains__, texts)):
+        text = texts[i]
+        stack = opened[text]
+        if text in _OPENERS:
+            stack.append(i)
+        elif stack:
+            j = stack.pop()
+            partner[i], partner[j] = j, i
+        else:
+            partner[i] = -1
+    return partner

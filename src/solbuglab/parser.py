@@ -10,19 +10,18 @@ spans partition each function body exactly (leading trivia sticks to the
 following statement, trailing trivia to the last one).
 
 Brackets follow one rule: a group ends at the partner of its opening
-bracket, counting that bracket's kind only.  One pass over a file's code
-tokens finds every bracket's partner (``_Code``): an unclosed opener's is
-the end of input, and a closer with nothing open has none.  Read within a
-bound, a group ends at its partner or at the bound, whichever comes first,
-so every group is skipped by one lookup.  ``_find_matching`` walks and
-counts to the same answer; the tests hold the table to it.  An index is at
-the top level of a range when no group opened in the range encloses it
-(``_top_level``): in ``(a]; b`` the ``(`` encloses the rest, and a closer
-with nothing open is at the top level.  An unclosed group runs to its bound
-and takes no token as its closer: a contract to the next contract keyword
-or the end of input, a parameter list or function body to the end of its
-contract.  The parser reads ``(lo, hi)`` ranges of the one token list and
-slices it only to build the records of the model.
+bracket, counting that bracket's kind only.  The lexer's ``_partners`` pass
+over a file's code tokens finds every bracket's partner (``_Code``): an
+unclosed opener's is the end of input, and a closer with nothing open has
+none.  Read within a bound, a group ends at its partner or at the bound,
+whichever comes first, so every group is skipped by one lookup.  An index
+is at the top level of a range when no group opened in the range encloses
+it (``_top_level``): in ``(a]; b`` the ``(`` encloses the rest, and a
+closer with nothing open is at the top level.  An unclosed group runs to
+its bound and takes no token as its closer: a contract to the next
+contract keyword or the end of input, a parameter list or function body to
+the end of its contract.  The parser reads ``(lo, hi)`` ranges of the one
+token list and slices it only to build the records of the model.
 
 Declarations follow one rule too: a declaration ends at its first top-level
 ``;`` or just after its first top-level ``{...}`` group, and never reads past
@@ -57,11 +56,10 @@ which mirrors how the lexical detectors reason (and mis-reason) about code.
 from __future__ import annotations
 
 from itertools import compress, count
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .lexer import (_IDENTIFIER, _KEYWORD, _NUMBER, _STRING, END, KIND, START, TEXT, Token,
-                    code_tokens, lex)
+from .lexer import (_IDENTIFIER, _KEYWORD, _NUMBER, _OPENERS, _STRING, END, KIND, START, TEXT,
+                    Token, _partners, _texts, code_tokens, lex)
 from .model import (
     AssignDetail,
     CallDetail,
@@ -116,80 +114,39 @@ _CALL_MEMBERS = frozenset(("call", "delegatecall", "callcode", "send", "transfer
 # its keyword.
 _HEADERS = {"if": True, "for": True, "while": True,
             "else": False, "do": False, "unchecked": False}
-_OPENERS = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {v: k for k, v in _OPENERS.items()}
 _DECLS = frozenset(("contract", "library", "interface"))
 _FUNCTIONS = frozenset(("function", "constructor", "fallback", "receive"))
-# The token texts that the one pass over a file's code tokens stops at.
-_INDEXED = frozenset((*_OPENERS, *_CLOSERS, *_DECLS, "struct"))
+# The keywords that the declaration scan over a file's code tokens stops at.
+_INDEXED = frozenset((*_DECLS, "struct"))
 # Module constants: attribute lookups on an Enum class are slow.
 _WORDS = (_IDENTIFIER, _KEYWORD)
 _CALLEE_PARTS = (_IDENTIFIER, _KEYWORD, _NUMBER)
 _NO_LOCATION = StorageLocation.DEFAULT
 
 
-_texts = itemgetter(TEXT)
-
-
-def _find_matching(ts: Sequence[Token], i: int, end: Optional[int] = None) -> int:
-    """Index of the partner of the bracket ``ts[i]``.  From an opener it
-    looks forward, no further than ``end`` (default ``len(ts)``), and gives
-    ``end`` if none; from a closer it looks back and gives -1 if none.  The
-    walk that ``_Code.partner`` answers by lookup; the detectors walk a
-    statement's tokens with it."""
-
-    own = ts[i][TEXT]
-    if own in _OPENERS:
-        partner, step = _OPENERS[own], 1
-        stop = len(ts) if end is None else end
-    else:
-        partner, step, stop = _CLOSERS[own], -1, -1
-    depth = 0
-    for j in range(i, stop, step):
-        x = ts[j][TEXT]
-        if x == own:
-            depth += 1
-        elif x == partner:
-            depth -= 1
-            if depth == 0:
-                return j
-    return stop
-
-
 class _Code:
     """A file's code tokens, read by index in ``(lo, hi)`` ranges: ``toks``,
     their ``texts``, and ``partner``, the index of each bracket's partner of
-    its own kind (``len(toks)`` for an unclosed opener, -1 for a closer with
-    nothing open).  The same pass finds the struct and contract names
-    declared, and ``decls``: the index of each ``_DECLS`` keyword in order,
-    then ``len(toks)``.  ``diagnostics`` gathers the file's diagnostics."""
+    its own kind (``_partners``).  A scan finds the struct and contract
+    names declared, and ``decls``: the index of each ``_DECLS`` keyword in
+    order, then ``len(toks)``.  ``diagnostics`` gathers the file's
+    diagnostics."""
 
     __slots__ = ("toks", "texts", "partner", "structs", "contracts", "decls", "diagnostics")
 
     def __init__(self, toks: Sequence[Token]) -> None:
         n = len(toks)
         self.toks, self.texts = toks, list(map(_texts, toks))
-        self.partner, self.decls, self.diagnostics = [n] * n, [], []
+        self.partner, self.decls, self.diagnostics = _partners(self.texts), [], []
         self.structs: Set[str] = set()
         self.contracts: Set[str] = set()
-        texts, partner = self.texts, self.partner
-        opened: Dict[str, List[int]] = {o: [] for o in _OPENERS}  # open groups by kind
+        texts = self.texts
         for i in compress(count(), map(_INDEXED.__contains__, texts)):
             text = texts[i]
-            if text in opened:
-                opened[text].append(i)
-            elif text in _CLOSERS:
-                stack = opened[_CLOSERS[text]]
-                if stack:
-                    j = stack.pop()
-                    partner[i], partner[j] = j, i
-                else:
-                    partner[i] = -1
-            else:
-                if text != "struct":
-                    self.decls.append(i)
-                if i + 1 < n and toks[i + 1][KIND] is _IDENTIFIER:
-                    (self.structs if text == "struct" else self.contracts).add(texts[i + 1])
+            if text != "struct":
+                self.decls.append(i)
+            if i + 1 < n and toks[i + 1][KIND] is _IDENTIFIER:
+                (self.structs if text == "struct" else self.contracts).add(texts[i + 1])
         self.decls.append(n)
 
     def span(self, lo: int, hi: int) -> Span:

@@ -1,15 +1,10 @@
 """Structural parser: contracts, functions, statement classification, and
 the guarantees the detectors lean on."""
 
-import glob
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-from solbuglab import parser
 from solbuglab.detectors import detect_all
 from solbuglab.model import (
     StmtKind,
@@ -17,7 +12,7 @@ from solbuglab.model import (
     TypeClass,
     Visibility,
 )
-from solbuglab.parser import parse, parse_file
+from solbuglab.parser import parse
 
 from conftest import fixture_source
 
@@ -472,24 +467,3 @@ def test_superscript_digit_in_body_parses():
     assert [s.kind for s in fn.body] == [StmtKind.LOCAL_VAR_DECL,
                                          StmtKind.ASSIGNMENT]
     assert body_partition_holds(fn)
-
-
-
-def test_the_parser_never_walks_for_a_partner(monkeypatch, tmp_path, contracts_dir):
-    """Every group the parser reads is skipped by a lookup in its partner
-    table; the walk is left to the detectors and the tests."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = sorted(glob.glob(os.path.join(contracts_dir, "*.sol")))
-    for workload in ("wide", "guarded"):
-        out = str(tmp_path / workload)
-        subprocess.run([sys.executable, os.path.join(root, "perfbench", "gen.py"),
-                        "--workload", workload, "--seed", "1", "--out", out], check=True,
-                       stdout=subprocess.DEVNULL)
-        paths += sorted(glob.glob(os.path.join(out, "contracts", "*.sol")))
-
-    def walk(*args, **kwargs):
-        raise AssertionError("the parser walked to a bracket partner")
-
-    monkeypatch.setattr(parser, "_find_matching", walk)
-    models = [parse_file(path) for path in paths]
-    assert len(models) > 18 and all(m.contracts for m in models)

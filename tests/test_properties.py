@@ -5,8 +5,8 @@ The lexer gives the tokens of the ``finditer`` lexer it replaced, the guard
 index the verdicts of the per-guard regex predicates it replaced, and the
 token-walking rules (A-a-W, A-a-IS, E-a-SW) the findings of the versions
 that read token fields by name and walked every token; the replaced
-versions are kept here unchanged as oracles.  The parser's bracket-partner
-table gives what ``_find_matching`` walks to."""
+versions are kept here unchanged as oracles.  The lexer's bracket-partner
+pass gives what a walk that counts one bracket kind finds (``_walk``)."""
 
 import random
 import re
@@ -31,10 +31,10 @@ from solbuglab.detectors import (
     _snippet,
 )
 from solbuglab.lexer import (
-    _TRIVIA, KIND, TEXT, Token, TokenKind, _classify_word, code_tokens, lex,
+    _TRIVIA, KIND, TEXT, Token, TokenKind, _classify_word, _partners, code_tokens, lex,
 )
 from solbuglab.model import Guard, TypeClass
-from solbuglab.parser import _Code, _find_matching, _top_level, parse
+from solbuglab.parser import _Code, _top_level, parse
 
 from test_parser import body_partition_holds
 
@@ -287,6 +287,31 @@ def test_members_lie_inside_their_contract(source):
     assert order == sorted(order), [d.message for d in model.diagnostics]
 
 
+_PARTNER_TEXTS = {"(": ")", "[": "]", "{": "}", ")": "(", "]": "[", "}": "{"}
+
+
+def _walk(texts, i, end=None):
+    """Index of the partner of the bracket ``texts[i]``, found by counting
+    its kind only.  From an opener it looks forward, no further than ``end``
+    (default ``len(texts)``), and gives ``end`` if none; from a closer it
+    looks back and gives -1 if none."""
+
+    own, partner = texts[i], _PARTNER_TEXTS[texts[i]]
+    if own in ("(", "[", "{"):
+        step, stop = 1, len(texts) if end is None else end
+    else:
+        step, stop = -1, -1
+    depth = 0
+    for j in range(i, stop, step):
+        if texts[j] == own:
+            depth += 1
+        elif texts[j] == partner:
+            depth -= 1
+            if depth == 0:
+                return j
+    return stop
+
+
 _BRACKETS = st.lists(st.sampled_from(("(", ")", "[", "]", "{", "}", ";", "x", "contract")),
                      max_size=40).map(" ".join)
 
@@ -297,13 +322,13 @@ _BRACKETS = st.lists(st.sampled_from(("(", ")", "[", "]", "{", "}", ";", "x", "c
 @example("{ ] }")
 def test_top_level_never_enters_a_group(source):
     """One bracket rule: the top-level walk skips each top-level opener's
-    group through its partner as ``_find_matching`` finds it."""
+    group through its partner as ``_walk`` finds it."""
     code = _Code(code_tokens(lex(source)))
     n = len(code.toks)
     top = list(_top_level(code, 0, n))
     for i in top:
         if code.texts[i] in "([{":
-            close = _find_matching(code.toks, i, n)
+            close = _walk(code.texts, i, n)
             assert not [j for j in top if i < j <= close], (i, close)
 
 
@@ -318,19 +343,18 @@ _TOKEN_TEXTS = ((_BRACKETS | _SOLIDITY_ISH).map(lambda s: [t.text for t in code_
 @given(_TOKEN_TEXTS, st.randoms(use_true_random=False))
 @example(["(", "[", ")", "]", "{", "(", "}"], random.Random(0))
 def test_partner_table_answers_as_the_walk(texts, rnd):
-    """A lookup in the partner table, clamped to a bound, gives what
-    ``_find_matching`` walks to: forward from each opener to any end, and
-    back from each closer to any start."""
-    toks = [Token(TokenKind.PUNCTUATION, text, 0, 0) for text in texts]
-    partner = _Code(toks).partner
-    n = len(toks)
+    """A lookup in the lexer's partner pass, clamped to a bound, gives what
+    ``_walk`` finds: forward from each opener to any end, and back from each
+    closer to any start."""
+    partner = _partners(texts)
+    n = len(texts)
     for i, text in enumerate(texts):
         if text in _OPENER_TEXTS:
             for end in {n, i + 1, rnd.randint(i + 1, n)}:
-                assert min(partner[i], end) == _find_matching(toks, i, end), (i, end)
+                assert min(partner[i], end) == _walk(texts, i, end), (i, end)
         elif text in _CLOSER_TEXTS:
             for lo in {0, i, rnd.randint(0, i)}:
-                walked = _find_matching(toks[lo:], i - lo)
+                walked = _walk(texts[lo:], i - lo)
                 assert (partner[i] - lo if partner[i] >= lo else -1) == walked, (i, lo)
 
 
@@ -477,8 +501,9 @@ def test_equals_guard_index_matches_approve_zero_regexes(case):
 
 
 # --- token-walking rules against the versions they replaced ----------------
-# Copied unchanged: they read token fields by name and walk every token of
-# every statement (A-a-IS, E-a-SW) or of the file (A-a-W).
+# Copied unchanged but for A-a-IS finding a cast's ``)`` with ``_walk``: they
+# read token fields by name and walk every token of every statement (A-a-IS,
+# E-a-SW) or of the file (A-a-W).
 
 _UINT_CAST_RE = re.compile(r"^uint\d*$")
 
@@ -494,7 +519,7 @@ def _reference_integer_sign(contract, fn):
             if (tok.kind is not TokenKind.KEYWORD or not _UINT_CAST_RE.match(tok.text)
                     or i + 1 >= len(toks) or toks[i + 1].text != "("):
                 continue
-            close = _find_matching(toks, i + 1)
+            close = _walk([t.text for t in toks], i + 1)
             inner = toks[i + 2 : close]
             if close == len(toks) or not inner:
                 continue
@@ -615,6 +640,16 @@ _REFERENCE_RULES = {
 @example(source="contract C { function f(bytes32 h, uint8 v, bytes32 r, bytes32 s, "
                 "address o) public { address a = ecrecover(h, v, r, s); "
                 "require(a == o); require(ecrecover(h, v, r, s) == o); } }")
+# an ``=`` right after an operator that ends in one, a nested cast, an
+# unclosed one, a parenthesised operand, a cast after a stray ``)``, and an
+# ``ecrecover`` comparison written ``= =``
+@example(source="contract C { function f() public { x ===- 1; x = =- 1; } }")
+@example(source="contract C { int8 y; function f() public { x = uint8(uint16(y)); } }")
+@example(source="contract C { int8 y; function f() public { x = uint8(y; uint(y); } }")
+@example(source="contract C { int8 y; function f() public { x = uint256((y)); } }")
+@example(source="contract C { int8 y; function f() public { x = ) + uint8(y); } }")
+@example(source="contract C { function f(bytes32 h, uint8 v, bytes32 r, bytes32 s, "
+                "address o) public { require(ecrecover(h, v, r, s) = = o); } }")
 def test_token_walking_rules_match_the_rules_they_replaced(bug_id, source):
     model = parse(source, "prop.sol")
     assert DETECTORS[bug_id].rule(model) == _REFERENCE_RULES[bug_id].rule(model)
