@@ -1,15 +1,14 @@
-"""Benchmark corpus manifest: loading, validation, selection, serialization.
+"""Benchmark corpus manifest: loading and validation.
 
 A manifest is a JSON document listing contract files with the bug kinds
 planted in them. Validation collects every problem in one pass instead of
 stopping at the first, so a broken manifest is fixable in one round.
 """
 
-import json
 import os
 from enum import Enum
 from importlib import resources
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .inputs import InputError, read_json
 from .taxonomy import catalog_ids
@@ -56,24 +55,6 @@ class CorpusManifest(NamedTuple):
     entries: Tuple[CorpusEntry, ...]
     base_dir: str
 
-    def kind_counts(self) -> Dict[str, int]:
-        counts = {kind.value: 0 for kind in EntryKind}
-        for entry in self.entries:
-            counts[entry.kind.value] += 1
-        return counts
-
-    def origin_counts(self) -> Dict[str, int]:
-        counts = {origin.value: 0 for origin in Origin}
-        for entry in self.entries:
-            counts[entry.origin.value] += 1
-        return counts
-
-    def entry_for(self, path: str) -> CorpusEntry:
-        for entry in self.entries:
-            if entry.path == path:
-                return entry
-        raise KeyError(path)
-
     def resolve(self, entry: CorpusEntry) -> str:
         return os.path.join(self.base_dir, entry.path)
 
@@ -89,10 +70,9 @@ def _check_ids(raw, label: str, where: str, known: FrozenSet[str],
     return frozenset(raw) & known
 
 
-def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
+def load_manifest(path: str) -> CorpusManifest:
     """Load and validate a manifest, raising InputError with every problem
-    found. require_files=False skips the on-disk checks, for validating a
-    manifest before its files land."""
+    found. Each listed file must exist and be readable beside it."""
     raw = read_json(path, "manifest")
     problems: List[str] = []
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -184,7 +164,7 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
             problems.append("%s: notes must be a string" % where)
             notes = ""
 
-        if require_files and has_path:
+        if has_path:
             full = os.path.join(base_dir, entry_path)
             if not os.path.isfile(full):
                 problems.append("%s: file not found under %s" % (where, base_dir))
@@ -213,50 +193,6 @@ def load_manifest(path: str, require_files: bool = True) -> CorpusManifest:
     return CorpusManifest(schema_version=schema_version,
                           entries=tuple(entries),
                           base_dir=base_dir)
-
-
-def select(manifest: CorpusManifest,
-           bug_id: Optional[str] = None,
-           kind: Optional[EntryKind] = None,
-           origin: Optional[Origin] = None,
-           strategy: Optional[int] = None) -> Tuple[CorpusEntry, ...]:
-    """Filter entries; all given criteria must hold. bug_id matches an entry
-    that labels or targets it."""
-    picked = []
-    for entry in manifest.entries:
-        if bug_id is not None and bug_id not in (entry.labels | entry.targets):
-            continue
-        if kind is not None and entry.kind is not kind:
-            continue
-        if origin is not None and entry.origin is not origin:
-            continue
-        if strategy is not None and entry.strategy != strategy:
-            continue
-        picked.append(entry)
-    return tuple(picked)
-
-
-def serialize_manifest(manifest: CorpusManifest) -> str:
-    """Canonical JSON form: entries sorted by path, fixed key order, sorted
-    id lists, explicit targets. Serializing a reloaded serialization returns
-    the same text."""
-    items = []
-    for entry in sorted(manifest.entries, key=lambda e: e.path):
-        item = {
-            "path": entry.path,
-            "solidity_versions": entry.solidity_versions.raw_text or "*",
-            "kind": entry.kind.value,
-            "origin": entry.origin.value,
-            "strategy": entry.strategy,
-            "labels": sorted(entry.labels),
-            "targets": sorted(entry.targets),
-            "notes": entry.notes,
-        }
-        if entry.expectations:
-            item["expectations"] = {k: v for k, v in sorted(entry.expectations)}
-        items.append(item)
-    doc = {"schema_version": manifest.schema_version, "entries": items}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def default_manifest_path() -> str:

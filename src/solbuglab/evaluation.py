@@ -99,15 +99,6 @@ def _score(tool: ToolReport, manifest: CorpusManifest, split_crafted: bool
     return counts, warnings
 
 
-def match(tool: ToolReport, manifest: CorpusManifest
-          ) -> Tuple[Dict[str, ConfusionCounts], List[str]]:
-    """Per-kind confusion counts over the manifest entries in the tool's
-    scope. Findings on files the manifest does not list, or for kinds the
-    tool does not claim, are excluded with a warning."""
-    counts, warnings = _score(tool, manifest, split_crafted=False)
-    return counts["all"], warnings
-
-
 def _macro(values: Sequence[Optional[float]]) -> Optional[float]:
     defined = [v for v in values if v is not None]
     return None if not defined else sum(defined) / len(defined)
@@ -191,7 +182,8 @@ def evaluate(tool: ToolReport, manifest: CorpusManifest,
              split_crafted: bool = False) -> MetricsReport:
     """Score a tool report. With split_crafted, crafted entries are also
     scored apart from the rest, exposing detectors that only do well on
-    straight-line examples. Each warning is listed once."""
+    straight-line examples. Findings off the manifest or the claims are
+    left out with a warning, and each warning is listed once."""
     counts, warnings = _score(tool, manifest, split_crafted)
     segments = tuple(SegmentMetrics(name=name,
                                     per_kind=tuple(sorted(per_kind.items())),

@@ -6,10 +6,8 @@ import os
 import pytest
 import requests
 
-from solbuglab import collector
 from solbuglab.collector import (
     AuthError,
-    ChangeSet,
     HttpSearchClient,
     ProjectSnapshot,
     RecordedSearchClient,

@@ -1,18 +1,13 @@
-"""Manifest loading, validation, selection, and canonical serialization."""
+"""Manifest loading and validation."""
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from solbuglab import corpus
-from solbuglab.corpus import (
-    EntryKind,
-    Origin,
-    load_manifest,
-    select,
-    serialize_manifest,
-)
+from solbuglab.corpus import EntryKind, load_manifest
 from solbuglab.detectors import DETECTABLE_BUG_IDS
 from solbuglab.inputs import InputError
 
@@ -20,14 +15,17 @@ from solbuglab.inputs import InputError
 def test_shipped_corpus_loads(manifest):
     assert manifest.schema_version == "1"
     assert len(manifest.entries) == 18
-    assert manifest.kind_counts() == {"buggy": 8, "fixed": 7, "crafted": 3}
-    assert manifest.origin_counts()["handwritten"] == 18
+    assert Counter(e.kind.value for e in manifest.entries) == {
+        "buggy": 8, "fixed": 7, "crafted": 3}
+    assert Counter(e.origin.value for e in manifest.entries)["handwritten"] == 18
 
 
 def test_every_detectable_kind_has_a_pair(manifest):
     for bug_id in DETECTABLE_BUG_IDS:
-        buggy = select(manifest, bug_id=bug_id, kind=EntryKind.BUGGY)
-        fixed = select(manifest, bug_id=bug_id, kind=EntryKind.FIXED)
+        buggy = [e for e in manifest.entries
+                 if e.kind is EntryKind.BUGGY and bug_id in e.labels | e.targets]
+        fixed = [e for e in manifest.entries
+                 if e.kind is EntryKind.FIXED and bug_id in e.labels | e.targets]
         assert buggy, bug_id
         assert fixed, bug_id
         for entry in buggy:
@@ -38,7 +36,7 @@ def test_every_detectable_kind_has_a_pair(manifest):
 
 
 def test_crafted_entries_have_strategy_and_expectations(manifest):
-    crafted = select(manifest, kind=EntryKind.CRAFTED)
+    crafted = [e for e in manifest.entries if e.kind is EntryKind.CRAFTED]
     assert sorted(e.strategy for e in crafted) == [1, 2, 3]
     for entry in crafted:
         assert entry.expectations
@@ -52,29 +50,21 @@ def test_entry_paths_resolve(manifest):
         assert os.path.isfile(manifest.resolve(entry))
 
 
-def test_select_filters_compose(manifest):
-    assert select(manifest, bug_id="D-a-R", kind=EntryKind.CRAFTED,
-                  strategy=1)[0].path.endswith("crafted_split_reentrancy.sol")
-    assert select(manifest, bug_id="D-a-R", strategy=2) == ()
-    everything = select(manifest)
-    assert everything == manifest.entries
-
-
-def test_serialize_fixpoint(manifest, tmp_path):
-    text = serialize_manifest(manifest)
-    alt = tmp_path / "manifest.json"
-    alt.write_text(text, encoding="utf-8")
-    reloaded = load_manifest(str(alt), require_files=False)
-    assert serialize_manifest(reloaded) == text
-
-
 def write_manifest(tmp_path, doc, name="m.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
+def write_sources(tmp_path, *names):
+    """Put the listed contract files beside the manifest, so that only the
+    problem a test plants is reported."""
+    for name in names:
+        (tmp_path / name).write_text("contract C {}", encoding="utf-8")
+
+
 def test_all_violations_reported_together(tmp_path):
+    write_sources(tmp_path, "a.sol")
     path = write_manifest(tmp_path, {
         "schema_version": "9",
         "entries": [
@@ -86,7 +76,7 @@ def test_all_violations_reported_together(tmp_path):
         ],
     })
     with pytest.raises(InputError) as err:
-        load_manifest(path, require_files=False)
+        load_manifest(path)
     text = str(err.value)
     for expected in ("schema_version", "junk", "mystery", "nowhere", "Q-q-Q",
                      "strategy", "duplicate path", "missing path"):
@@ -95,13 +85,14 @@ def test_all_violations_reported_together(tmp_path):
 
 
 def test_fixed_entry_must_drop_its_label(tmp_path):
+    write_sources(tmp_path, "x.sol")
     path = write_manifest(tmp_path, {
         "schema_version": "1",
         "entries": [{"path": "x.sol", "kind": "fixed", "origin": "modified",
                      "labels": ["F-c-T"], "targets": ["F-c-T"]}],
     })
     with pytest.raises(InputError) as err:
-        load_manifest(path, require_files=False)
+        load_manifest(path)
     assert "still labels" in str(err.value)
 
 
@@ -114,9 +105,6 @@ def test_missing_file_is_a_violation(tmp_path):
     with pytest.raises(InputError) as err:
         load_manifest(path)
     assert "not found" in str(err.value)
-    # same document passes when file checks are deferred
-    loaded = load_manifest(path, require_files=False)
-    assert loaded.entries[0].labels == frozenset({"D-a-R"})
 
 
 def test_unreadable_file_is_a_violation(tmp_path, monkeypatch):
@@ -140,16 +128,18 @@ def test_unreadable_file_is_a_violation(tmp_path, monkeypatch):
 
 
 def test_targets_default_to_labels(tmp_path):
+    write_sources(tmp_path, "x.sol")
     path = write_manifest(tmp_path, {
         "schema_version": "1",
         "entries": [{"path": "x.sol", "kind": "buggy", "origin": "unchanged",
                      "labels": ["D-a-R", "F-c-T"]}],
     })
-    entry = load_manifest(path, require_files=False).entries[0]
+    entry = load_manifest(path).entries[0]
     assert entry.targets == entry.labels == frozenset({"D-a-R", "F-c-T"})
 
 
 def test_expectation_values_validated(tmp_path):
+    write_sources(tmp_path, "x.sol")
     path = write_manifest(tmp_path, {
         "schema_version": "1",
         "entries": [{"path": "x.sol", "kind": "crafted", "origin": "handwritten",
@@ -157,19 +147,20 @@ def test_expectation_values_validated(tmp_path):
                      "expectations": {"D-a-R": "explodes"}}],
     })
     with pytest.raises(InputError) as err:
-        load_manifest(path, require_files=False)
+        load_manifest(path)
     assert "explodes" in str(err.value)
 
 
 @pytest.mark.parametrize("strategy", [True, 1.0])
 def test_crafted_strategy_must_be_an_int(tmp_path, strategy):
+    write_sources(tmp_path, "x.sol")
     path = write_manifest(tmp_path, {
         "schema_version": "1",
         "entries": [{"path": "x.sol", "kind": "crafted", "origin": "handwritten",
                      "strategy": strategy, "labels": ["D-a-R"]}],
     })
     with pytest.raises(InputError) as err:
-        load_manifest(path, require_files=False)
+        load_manifest(path)
     assert "crafted entry needs strategy 1..3, got %r" % strategy in str(err.value)
 
 
@@ -190,24 +181,13 @@ def test_large_synthetic_manifest(tmp_path):
                 "labels": [bug],
             })
             index += 1
+    write_sources(tmp_path, *(e["path"] for e in entries))
     path = write_manifest(tmp_path, {"schema_version": "1", "entries": entries})
-    manifest = load_manifest(path, require_files=False)
+    manifest = load_manifest(path)
     assert len(manifest.entries) == 176
-    assert manifest.origin_counts() == {"unchanged": 21, "modified": 69,
-                                        "handwritten": 86}
-    assert manifest.kind_counts()["buggy"] == 176
-    # canonical form is stable here too
-    text = serialize_manifest(manifest)
-    alt = tmp_path / "round.json"
-    alt.write_text(text, encoding="utf-8")
-    assert serialize_manifest(load_manifest(str(alt), require_files=False)) == text
-
-
-def test_entry_lookup(manifest):
-    entry = manifest.entry_for("contracts/reentrancy_buggy.sol")
-    assert entry.kind is EntryKind.BUGGY
-    with pytest.raises(KeyError):
-        manifest.entry_for("contracts/none.sol")
+    assert Counter(e.origin.value for e in manifest.entries) == {
+        "unchanged": 21, "modified": 69, "handwritten": 86}
+    assert Counter(e.kind.value for e in manifest.entries) == {"buggy": 176}
 
 
 def test_default_manifest_path_exists():

@@ -165,6 +165,23 @@ def test_uninitialized_storage_quiet_with_memory_or_init():
     assert findings == []
 
 
+@pytest.mark.parametrize("local, findings", [
+    ("Rec rec;", ["A-c-US"]),
+    ("Rec rec = recs[0];", []),  # points at a live record, not at slot 0
+], ids=["buggy", "fixed"])
+def test_uninitialized_storage_needs_a_missing_initializer(local, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            struct Rec { address who; uint amount; }
+            Rec[] recs;
+            function f() public {
+                %s
+                rec.who = msg.sender;
+            }
+        }
+    """ % local)) == findings
+
+
 # --- D-a-R: value call with open gas before a state write ---------------
 
 def test_reentrancy_legacy_fixture():
@@ -216,6 +233,22 @@ def test_reentrancy_needs_late_state_write():
     assert findings == []
 
 
+@pytest.mark.parametrize("payload, findings", [
+    ("", ["D-a-R"]),
+    ('bytes4(keccak256("deposit()"))', []),
+], ids=["buggy", "fixed"])
+def test_reentrancy_needs_an_empty_payload(payload, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            mapping(address => uint) balance;
+            function f() public {
+                msg.sender.call.value(balance[msg.sender])(%s);
+                balance[msg.sender] = 0;
+            }
+        }
+    """ % payload)) == findings
+
+
 # --- E-a-SA: value moved by address+amount, calldata length unchecked ---
 
 def test_short_address_fires_on_public_transfer():
@@ -240,6 +273,37 @@ def test_short_address_ignores_internal_helpers():
         }
     """)
     assert findings == []
+
+
+@pytest.mark.parametrize("head, findings", [
+    ("function give(address to, uint amount) public", ["E-a-SA"]),
+    # neither is called by name with caller-supplied arguments
+    ("function(address to, uint amount) public", []),
+    ("constructor(address to, uint amount) public", []),
+], ids=["named", "fallback", "constructor"])
+def test_short_address_skips_fallback_and_constructor(head, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            mapping(address => uint) balance;
+            %s {
+                balance[to] = amount;
+            }
+        }
+    """ % head)) == findings
+
+
+@pytest.mark.parametrize("call, findings", [
+    ("to.call.value(amount)();", ["E-a-SA"]),
+    ("to.call(amount);", []),  # moves no ether
+], ids=["buggy", "fixed"])
+def test_short_address_counts_a_value_call_as_moving_value(call, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            function pay(address to, uint amount) public {
+                %s
+            }
+        }
+    """ % call)) == findings
 
 
 @pytest.mark.parametrize("amount_type, findings", [
@@ -282,6 +346,24 @@ def test_wrong_signature_needs_comparison():
     assert findings == []
 
 
+@pytest.mark.parametrize("body, findings", [
+    ("address signer = ecrecover(h, v, r, s); require(signer == auth.owner);",
+     ["E-a-SW"]),
+    # the result is stored in a field; the one equality compares other addresses
+    ("auth.signer = ecrecover(h, v, r, s); require(msg.sender == auth.owner);", []),
+], ids=["buggy", "fixed"])
+def test_wrong_signature_compares_the_result_not_its_container(body, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            struct Auth { address owner; address signer; }
+            Auth auth;
+            function f(bytes32 h, uint8 v, bytes32 r, bytes32 s) public {
+                %s
+            }
+        }
+    """ % body)) == findings
+
+
 # --- F-c-T: allowance overwritten without a zero step -------------------
 
 def test_approve_race_fires():
@@ -294,6 +376,23 @@ def test_approve_race_quiet_with_zero_rule():
     findings = detect_all(parse(fixture_source("approve_race_fixed.sol"),
                                 "approve_race_fixed.sol"))
     assert findings == []
+
+
+@pytest.mark.parametrize("state, write, findings", [
+    ("mapping(address => mapping(address => uint)) allowed;",
+     "allowed[msg.sender][spender] = value;", ["F-c-T"]),
+    # a per-spender flag is no allowance an owner grants a spender
+    ("mapping(address => uint) approved;", "approved[spender] = value;", []),
+], ids=["buggy", "fixed"])
+def test_approve_race_needs_an_owner_spender_allowance(state, write, findings):
+    assert ids(run(HEADER + """
+        contract C {
+            %s
+            function approve(address spender, uint value) public {
+                %s
+            }
+        }
+    """ % (state, write), enabled=["F-c-T"])) == findings
 
 
 # --- cross-cutting ------------------------------------------------------

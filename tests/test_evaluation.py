@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from solbuglab import evaluation
 from solbuglab.corpus import CorpusEntry, CorpusManifest, EntryKind, Origin
 from solbuglab.evaluation import (
     ConfusionCounts,
@@ -12,7 +11,6 @@ from solbuglab.evaluation import (
     coverage,
     evaluate,
     load_report,
-    match,
     self_report,
 )
 from solbuglab.inputs import InputError
@@ -36,6 +34,10 @@ def tool(claims, findings, name="t"):
                       findings=frozenset(findings))
 
 
+def per_kind(t, m):
+    return dict(evaluate(t, m).segment("all").per_kind)
+
+
 def test_precision_recall_basic():
     counts = ConfusionCounts(tp=3, fp=1, fn=2)
     assert counts.precision() == pytest.approx(0.75)
@@ -56,10 +58,10 @@ def test_match_counts():
         entry("c.sol", labels={"F-c-T"}),
     )
     t = tool({"D-a-R"}, {("a.sol", "D-a-R"), ("b.sol", "D-a-R")})
-    counts, warnings = match(t, m)
+    counts = per_kind(t, m)
     assert counts["D-a-R"] == ConfusionCounts(tp=1, fp=1, fn=0)
     assert "F-c-T" not in counts  # unclaimed
-    assert warnings == []
+    assert evaluate(t, m).warnings == ()
 
 
 def test_match_scope_excludes_unrelated_entries():
@@ -68,7 +70,7 @@ def test_match_scope_excludes_unrelated_entries():
         entry("x.sol", labels={"H-a-S"}),  # outside claims, outside scope
     )
     t = tool({"D-a-R"}, set())
-    counts, _ = match(t, m)
+    counts = per_kind(t, m)
     assert counts["D-a-R"] == ConfusionCounts(tp=0, fp=0, fn=1)
     total = sum((c for c in counts.values()), ConfusionCounts())
     assert total.tp + total.fp + total.fn == 1  # x.sol never scored
@@ -81,8 +83,8 @@ def test_match_warns_and_excludes_junk_findings():
         ("ghost.sol", "D-a-R"),      # unknown file
         ("a.sol", "F-c-T"),          # unclaimed kind
     })
-    counts, warnings = match(t, m)
-    assert counts["D-a-R"] == ConfusionCounts(tp=1, fp=0, fn=0)
+    assert per_kind(t, m)["D-a-R"] == ConfusionCounts(tp=1, fp=0, fn=0)
+    warnings = evaluate(t, m).warnings
     assert any("ghost.sol" in w for w in warnings)
     assert any("unclaimed" in w for w in warnings)
 
@@ -121,11 +123,10 @@ def test_segments_score_like_match_on_their_entries_alone():
     report = evaluate(t, m, split_crafted=True)
     for name, picked in (("all", m.entries), ("non-crafted", m.entries[:2]),
                          ("crafted", m.entries[2:])):
-        counts, _ = match(t, manifest_of(*picked))
-        assert report.segment(name).per_kind == tuple(sorted(counts.items()))
-        assert report.segment(name).micro == sum(counts.values(), ConfusionCounts())
+        alone = evaluate(t, manifest_of(*picked)).segment("all")
+        assert report.segment(name).per_kind == alone.per_kind
+        assert report.segment(name).micro == alone.micro
     ghost = "finding on file outside the corpus ignored: ghost.sol"
-    assert match(t, m)[1].count(ghost) == 2
     # the report lists each warning once, in first-seen order
     assert report.warnings == ("claims outside the catalog ignored: NOT-REAL", ghost)
 
@@ -209,6 +210,5 @@ def test_external_report_scoring(tmp_path, manifest):
 def test_duplicate_findings_count_once():
     m = manifest_of(entry("a.sol", labels={"D-a-R"}))
     t = tool({"D-a-R"}, {("a.sol", "D-a-R")})
-    counts, _ = match(t, m)
-    again, _ = match(tool({"D-a-R"}, set(t.findings) | {("a.sol", "D-a-R")}), m)
-    assert counts == again
+    again = tool({"D-a-R"}, list(t.findings) + [("a.sol", "D-a-R")])
+    assert per_kind(t, m) == per_kind(again, m)

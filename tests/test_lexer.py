@@ -3,8 +3,6 @@ detectors depend on."""
 
 import random
 
-import pytest
-
 from solbuglab.lexer import _TRIVIA, KIND, START, TokenKind, code_tokens, lex
 
 

@@ -5,7 +5,6 @@ import pytest
 from solbuglab.taxonomy import kind_by_id
 from solbuglab.versions import (
     ANY_VERSION,
-    PragmaConstraint,
     VersionSyntaxError,
     parse_constraint,
     parse_version,
