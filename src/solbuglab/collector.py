@@ -4,6 +4,9 @@ The collector polls a code-hosting search API on a fixed interval, keeps a
 snapshot of every project seen, and pushes the delta (added, updated,
 removed) to stdout or a webhook. State only advances after a successful
 delivery, so a failed push is retried with the same delta next cycle.
+
+Each cycle reads ``default_clock`` once, and that stamp is both the state's
+cursor and a webhook's ``at``.
 """
 
 import json
@@ -12,7 +15,7 @@ import sys
 import tempfile
 import time
 from datetime import datetime, timezone
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 from urllib.parse import urlparse
 
 import requests
@@ -103,12 +106,9 @@ class HttpSearchClient:
     the fix spelled out.
     """
 
-    def __init__(self, config: WatchConfig,
-                 session: Optional[requests.Session] = None,
-                 sleep: Optional[Callable[[float], None]] = None):
+    def __init__(self, config: WatchConfig):
         self._config = config
-        self._session = session or requests.Session()
-        self._sleep = sleep if sleep is not None else time.sleep
+        self._session = requests.Session()
         self._token = os.environ.get(config.token_env, "")
 
     def _headers(self) -> Dict[str, str]:
@@ -133,7 +133,7 @@ class HttpSearchClient:
                     reset = response.headers.get("X-RateLimit-Reset")
                     if response.status_code == 403 and remaining == "0" and reset:
                         if attempt < config.max_retries:
-                            self._sleep(max(0.0, float(reset) - time.time()) + 1.0)
+                            time.sleep(max(0.0, float(reset) - time.time()) + 1.0)
                         continue
                     raise AuthError(
                         "search authentication failed (HTTP %d): set $%s to a valid "
@@ -145,7 +145,7 @@ class HttpSearchClient:
                 failure = "search endpoint kept failing (HTTP %d)" % response.status_code
             if attempt == config.max_retries:
                 raise RuntimeError(failure)
-            self._sleep(delay)  # exponential backoff
+            time.sleep(delay)  # exponential backoff
             delay *= 2
         # only a rate limit still in force at the last attempt ends up here
         raise RuntimeError("search rate limit did not reset after %d retries"
@@ -164,23 +164,20 @@ class HttpSearchClient:
 
 
 class RecordedSearchClient:
-    """Replays canned search results from a JSON file or mapping.
+    """Replays canned search results from a JSON file.
 
     The document maps keyword to a list of result items (JSON objects). A
-    mapping value of {"error": "auth"} simulates a credential rejection, and
-    any other {"error": ...} value a failed search. Any other document
-    raises InputError, naming the file.
+    value of {"error": "auth"} simulates a credential rejection, and any
+    other {"error": ...} value a failed search. Any other document raises
+    InputError, naming the file.
     """
 
-    def __init__(self, source):
-        if isinstance(source, str):
-            data, name = read_json(source, "replay file"), source
-        else:
-            data, name = dict(source), "replay"
+    def __init__(self, path: str):
+        data = read_json(path, "replay file")
         for keyword, value in data.items():
             if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)
                     or isinstance(value, dict) and "error" in value):
-                raise InputError(name, 'results for %r must be a list of objects or '
+                raise InputError(path, 'results for %r must be a list of objects or '
                                  'an {"error": ...} object' % (keyword,))
         self._data = data
 
@@ -257,29 +254,24 @@ def default_clock() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def notify_stdout(changes: ChangeSet, out=None) -> bool:
-    out = out if out is not None else sys.stdout
+def notify_stdout(changes: ChangeSet) -> None:
     for verb, snapshots in (("added", changes.added), ("updated", changes.updated),
                             ("removed", changes.removed)):
         for snapshot in snapshots:
-            out.write("%-7s %s  %s  (%s)\n" % (verb, snapshot.project_id,
-                                               snapshot.last_update,
-                                               snapshot.matched_keyword))
-    return True
+            sys.stdout.write("%-7s %s  %s  (%s)\n" % ((verb,) + snapshot))
 
 
-def notify_webhook(changes: ChangeSet, url: str,
-                   clock: Callable[[], str] = default_clock,
-                   http_post: Callable = requests.post) -> bool:
-    """POST the delta as JSON. Only a 2xx response counts as delivered."""
+def notify_webhook(changes: ChangeSet, url: str, at: str) -> bool:
+    """POST the delta, stamped ``at``, as JSON. Only a 2xx response counts
+    as delivered."""
     body = {
         "added": [s._asdict() for s in changes.added],
         "updated": [s._asdict() for s in changes.updated],
         "removed": [s._asdict() for s in changes.removed],
-        "at": clock(),
+        "at": at,
     }
     try:
-        response = http_post(url, json=body, timeout=30)
+        response = requests.post(url, json=body, timeout=30)
     except requests.RequestException:
         return False
     return 200 <= response.status_code < 300
@@ -335,13 +327,9 @@ def save_state(path: str, cursor: Optional[str],
 class CycleResult(NamedTuple):
     status: str  # "ok" or "delivery-failed"
     changes: ChangeSet
-    checked_at: str
 
 
-def run_cycle(config: WatchConfig, client,
-              clock: Callable[[], str] = default_clock,
-              http_post: Callable = requests.post,
-              out=None) -> CycleResult:
+def run_cycle(config: WatchConfig, client) -> CycleResult:
     """One poll-diff-notify-save pass.
 
     An empty delta skips delivery but still advances the cursor. A failed
@@ -351,31 +339,23 @@ def run_cycle(config: WatchConfig, client,
     _, previous = load_state(config.state_path)
     current = poll(client, config)
     changes = diff(previous, current)
-    checked_at = clock()
+    checked_at = default_clock()
     if not changes.is_empty():
         if config.notify == "stdout":
-            delivered = notify_stdout(changes, out=out)
-        else:
-            delivered = notify_webhook(changes, config.notify,
-                                       clock=clock, http_post=http_post)
-        if not delivered:
-            return CycleResult(status="delivery-failed", changes=changes,
-                               checked_at=checked_at)
+            notify_stdout(changes)
+        elif not notify_webhook(changes, config.notify, checked_at):
+            return CycleResult(status="delivery-failed", changes=changes)
     save_state(config.state_path, checked_at, current)
-    return CycleResult(status="ok", changes=changes, checked_at=checked_at)
+    return CycleResult(status="ok", changes=changes)
 
 
-def watch_loop(config: WatchConfig, client, cycles: Optional[int] = None,
-               sleep: Optional[Callable[[float], None]] = None,
-               clock: Callable[[], str] = default_clock,
-               http_post: Callable = requests.post,
-               out=None) -> Iterator[CycleResult]:
+def watch_loop(config: WatchConfig, client,
+               cycles: Optional[int] = None) -> Iterator[CycleResult]:
     """Run cycles forever, or a fixed number of them, sleeping the
     configured interval in between; yield each result as its cycle ends."""
-    sleep = sleep if sleep is not None else time.sleep
     count = 0
     while cycles is None or count < cycles:
         if count:
-            sleep(config.interval_days * 86400.0)
-        yield run_cycle(config, client, clock=clock, http_post=http_post, out=out)
+            time.sleep(config.interval_days * 86400.0)
+        yield run_cycle(config, client)
         count += 1

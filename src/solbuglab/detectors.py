@@ -84,9 +84,7 @@ def _snippet(text: str) -> str:
 
 
 def _anchor(stmt: Stmt) -> Span:
-    if stmt.tokens:
-        return (stmt.tokens[0][START], stmt.tokens[-1][END])
-    return stmt.span
+    return (stmt.tokens[0][START], stmt.tokens[-1][END])
 
 
 # Guards compare an operand against zero in three families: an order op
@@ -342,9 +340,11 @@ def _wrong_signature_guard(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     """ecrecover result compared for equality with no zero-address rejection.
 
     On any malformed input ecrecover yields the zero address, so comparing the
-    result to a supplied address succeeds when both are zero.  Only a
-    statement whose text contains ``ecrecover`` has its tokens walked, and
-    only one with two ``=`` or more is flattened: every pattern needs ``==``.
+    result to a supplied address succeeds when both are zero.  The result is
+    a declared variable or an assignment's whole left side, so a mapping
+    entry or struct field that stores it counts.  Only a statement whose
+    text contains ``ecrecover`` has its tokens walked, and only one with two
+    ``=`` or more is flattened: every pattern needs ``==``.
     """
 
     rec_stmts = [s for s in fn.body
@@ -355,9 +355,8 @@ def _wrong_signature_guard(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     for s in rec_stmts:
         if s.decl is not None and s.decl.name:
             result_vars.append(s.decl.name)
-        elif (s.assign is not None and "ecrecover" in s.assign.rhs
-              and _nospace(s.assign.lhs) == s.assign.lhs_base):
-            result_vars.append(s.assign.lhs_base)
+        elif s.assign is not None and "ecrecover" in s.assign.rhs:
+            result_vars.append(_nospace(s.assign.lhs))
     var_patterns = [p for v in map(re.escape, result_vars)
                     for p in (rf"(?<![\w$]){v}==({_IDENT})", rf"({_IDENT})=={v}(?![\w$])")]
     compare_stmt: Optional[Stmt] = None
@@ -395,11 +394,9 @@ def _approve_race(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     if fn.name != "approve" or not any(p.type_class is TypeClass.ADDRESS for p in fn.params):
         return
     uint_params = _names(fn.params, TypeClass.UNSIGNED_INT)
-    if not uint_params:
-        return
     guards = GuardIndex(fn.guards, EQUALS_ZERO)
     for s in fn.body:
-        if s.kind is not _ASSIGNMENT or s.assign is None:
+        if s.kind is not _ASSIGNMENT:
             continue
         lhs, rhs = _nospace(s.assign.lhs), _nospace(s.assign.rhs)
         if (_DOUBLE_INDEX_RE.match(lhs) and rhs in uint_params

@@ -34,9 +34,10 @@ unclosed file-level group encloses everything up to the next contract
 keyword: ``( pragma solidity ^0.4.24; contract C {}`` has no pragma.
 
 Statement ends, parameter and base lists, call-option keys and the
-operators that classify a statement are all read at the top level.  A body
-statement is classified from the one top-level walk that finds its end: the
-walk records the first top-level ``=``, compound operator and ``++``/``--``.
+operators that classify a statement are all read at the top level, by one
+walker, ``_top_level``.  A body statement is classified from the one
+top-level walk that finds its end: the walk records the first top-level
+``=``, compound operator and ``++``/``--``.
 
 Each contract is parsed in one pass where it stands.  One walk finds where
 each member ends; for a function it also finds its body's closing brace,
@@ -100,13 +101,11 @@ _VISIBILITY = {
     "private": Visibility.PRIVATE,
 }
 # The class of each token text that ends or classifies a body statement or a
-# declaration when it is at its top level, and the openers with no class,
-# whose groups a walk skips.  A declaration ends at a ``;`` or after the
-# group a ``{`` opens (``_DECL_ENDS``).
+# declaration when it is at its top level.  A declaration ends at a ``;`` or
+# after the group a ``{`` opens (``_DECL_ENDS``).
 _MARKS = dict.fromkeys(("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="),
                        "compound")
-_MARKS.update({";": ";", "{": "{", "}": "}", "=": "=", "++": "bump", "--": "bump",
-               "(": None, "[": None})
+_MARKS.update({";": ";", "{": "{", "}": "}", "=": "=", "++": "bump", "--": "bump"})
 _DECL_ENDS = (";", "{")
 # Member names only ever lex as identifiers, and ``.`` as punctuation.
 _CALL_MEMBERS = frozenset(("call", "delegatecall", "callcode", "send", "transfer"))
@@ -169,24 +168,19 @@ def _top_level(code: _Code, lo: int, hi: int) -> Iterator[int]:
 def _walk_marks(
     code: _Code, lo: int, hi: int, stops: Tuple[str, ...]
 ) -> Tuple[int, Dict[str, int]]:
-    """One walk over the top level of ``[lo, hi)``, up to the first token
-    whose ``_MARKS`` class is in ``stops``: that token's index (``hi`` if
-    none), and each class met before it with its first index."""
+    """One walk over the top level of ``[lo, hi)`` (``_top_level``), up to
+    the first token whose ``_MARKS`` class is in ``stops``: that token's
+    index (``hi`` if none), and each class met before it with its first
+    index."""
 
-    texts, partner = code.texts, code.partner
+    texts = code.texts
     marks: Dict[str, int] = {}
-    i = lo
-    while i < hi:
-        text = texts[i]
-        if text in _MARKS:
-            mark = _MARKS[text]
-            if mark in stops:
-                return i, marks
-            if mark is not None:
-                marks.setdefault(mark, i)
-            if text in _OPENERS:
-                i = min(partner[i], hi - 1)
-        i += 1
+    for i in _top_level(code, lo, hi):
+        mark = _MARKS.get(texts[i])
+        if mark in stops:
+            return i, marks
+        if mark is not None:
+            marks.setdefault(mark, i)
     return hi, marks
 
 

@@ -123,24 +123,23 @@ class PragmaConstraint(NamedTuple):
 ANY_VERSION = PragmaConstraint()
 
 
-def constraint_from_clause(op: str, version: Version, raw: str = "",
-                           parts: int = 3) -> PragmaConstraint:
+def constraint_from_clause(op: str, version: Version, parts: int = 3) -> PragmaConstraint:
     """One clause's range; ``parts`` is how many parts were written (``0.4``: 2)."""
     if op == "^":
         part = next((i for i in range(parts) if version[i]), parts - 1)
-        return PragmaConstraint(raw, version, _bump(version, part))
+        return PragmaConstraint("", version, _bump(version, part))
     if op == "~":
-        return PragmaConstraint(raw, version, _bump(version, min(parts, 2) - 1))
+        return PragmaConstraint("", version, _bump(version, min(parts, 2) - 1))
     if op in ("", "="):
-        return PragmaConstraint(raw, version, _bump(version, parts - 1))
+        return PragmaConstraint("", version, _bump(version, parts - 1))
     if op == ">=":
-        return PragmaConstraint(raw, version, None)
+        return PragmaConstraint("", version, None)
     if op == ">":
-        return PragmaConstraint(raw, _bump(version, parts - 1), None)
+        return PragmaConstraint("", _bump(version, parts - 1), None)
     if op == "<=":
-        return PragmaConstraint(raw, None, _bump(version, parts - 1))
+        return PragmaConstraint("", None, _bump(version, parts - 1))
     if op == "<":
-        return PragmaConstraint(raw, None, version)
+        return PragmaConstraint("", None, version)
     raise VersionSyntaxError(f"unknown constraint operator: {op!r}")
 
 

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from solbuglab import taxonomy
+from solbuglab import collector, taxonomy
 from solbuglab.collector import (
     ProjectSnapshot,
     RecordedSearchClient,
@@ -366,16 +366,19 @@ def test_criterion_9_watch_state_durability(tmp_path, monkeypatch):
     # a failed delivery must not advance state; the retry re-sends the delta
     config = WatchConfig(keywords=("k",), notify="https://hooks.example/in",
                          state_path=str(tmp_path / "cycle.json"))
-    client = RecordedSearchClient({"k": [
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"k": [
         {"full_name": "a/x", "html_url": "https://github.com/a/x",
          "updated_at": "2026-03-01T00:00:00Z"},
-    ]})
+    ]}), encoding="utf-8")
+    client = RecordedSearchClient(str(replay))
 
     class Down:
         status_code = 502
 
-    failed = run_cycle(config, client, clock=lambda: "t1",
-                       http_post=lambda url, json, timeout: Down())
+    monkeypatch.setattr(collector, "default_clock", lambda: "t1")
+    monkeypatch.setattr(collector.requests, "post", lambda url, json, timeout: Down())
+    failed = run_cycle(config, client)
     assert failed.status == "delivery-failed"
     assert not os.path.exists(config.state_path)
 
@@ -388,7 +391,9 @@ def test_criterion_9_watch_state_durability(tmp_path, monkeypatch):
         seen["body"] = json
         return Up()
 
-    retried = run_cycle(config, client, clock=lambda: "t2", http_post=accept)
+    monkeypatch.setattr(collector, "default_clock", lambda: "t2")
+    monkeypatch.setattr(collector.requests, "post", accept)
+    retried = run_cycle(config, client)
     assert retried.status == "ok"
     assert retried.changes == failed.changes  # same delta delivered
     assert [p["project_id"] for p in seen["body"]["added"]] == ["github.com/a/x"]
@@ -402,11 +407,13 @@ def test_criterion_9_watch_state_durability(tmp_path, monkeypatch):
         bodies.append(json)
         return Up()
 
+    monkeypatch.setattr(collector, "default_clock", lambda: "t9")
+    monkeypatch.setattr(collector.requests, "post", capture)
     twins = []
     for run in ("one", "two"):
         twin = WatchConfig(keywords=("k",), notify="https://hooks.example/in",
                            state_path=str(tmp_path / ("twin-%s.json" % run)))
-        result = run_cycle(twin, client, clock=lambda: "t9", http_post=capture)
+        result = run_cycle(twin, client)
         assert result.status == "ok"
         twins.append(twin.state_path)
     assert open(twins[0], "rb").read() == open(twins[1], "rb").read()

@@ -6,6 +6,7 @@ import os
 import pytest
 import requests
 
+from solbuglab import collector
 from solbuglab.collector import (
     AuthError,
     HttpSearchClient,
@@ -29,6 +30,19 @@ def item(full_name, updated, host="github.com"):
             "html_url": "https://%s/%s" % (host, full_name)}
 
 
+def replay(tmp_path, results):
+    """A client that replays ``results`` from a replay file in ``tmp_path``."""
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(results), encoding="utf-8")
+    return RecordedSearchClient(str(path))
+
+
+def clock_reads(monkeypatch, *stamps):
+    """Make ``default_clock`` return ``stamps`` in turn."""
+    stamps = iter(stamps)
+    monkeypatch.setattr(collector, "default_clock", lambda: next(stamps))
+
+
 def snap(project_id, updated, matched="k"):
     return ProjectSnapshot(project_id=project_id, last_update=updated,
                            matched_keyword=matched)
@@ -41,8 +55,8 @@ def test_defaults():
     assert all(k.startswith("smart contract") for k in config.keywords)
 
 
-def test_poll_merges_across_keywords():
-    client = RecordedSearchClient({
+def test_poll_merges_across_keywords(tmp_path):
+    client = replay(tmp_path, {
         "k1": [item("a/x", "2026-01-01T00:00:00Z"),
                item("b/y", "2026-01-02T00:00:00Z")],
         "k2": [item("a/x", "2026-02-01T00:00:00Z")],
@@ -56,8 +70,8 @@ def test_poll_merges_across_keywords():
     assert projects["github.com/b/y"].matched_keyword == "k1"
 
 
-def test_poll_skips_malformed_items():
-    client = RecordedSearchClient({
+def test_poll_skips_malformed_items(tmp_path):
+    client = replay(tmp_path, {
         "k": [item("a/x", "2026-01-01T00:00:00Z"),
               {"full_name": "broken"},
               {"updated_at": "2026-01-01T00:00:00Z"}],
@@ -66,9 +80,9 @@ def test_poll_skips_malformed_items():
     assert set(projects) == {"github.com/a/x"}
 
 
-def test_poll_large_result_set():
+def test_poll_large_result_set(tmp_path):
     names = ["org%03d/tool%03d" % (i, i) for i in range(266)]
-    client = RecordedSearchClient({
+    client = replay(tmp_path, {
         "k": [item(name, "2026-01-01T00:00:00Z") for name in names],
     })
     projects = poll(client, WatchConfig(keywords=("k",)))
@@ -138,29 +152,33 @@ def test_crashed_write_leaves_old_state(tmp_path, monkeypatch):
     assert leftovers == []
 
 
-def test_run_cycle_advances_state_even_when_quiet(tmp_path):
+def test_run_cycle_advances_state_even_when_quiet(tmp_path, monkeypatch, capsys):
     config = WatchConfig(keywords=("k",), state_path=str(tmp_path / "s.json"))
-    client = RecordedSearchClient({"k": [item("a/x", "2026-01-01T00:00:00Z")]})
-    first = run_cycle(config, client, clock=lambda: "t1")
+    client = replay(tmp_path, {"k": [item("a/x", "2026-01-01T00:00:00Z")]})
+    clock_reads(monkeypatch, "t1", "t2")
+    first = run_cycle(config, client)
     assert first.status == "ok"
     assert len(first.changes.added) == 1
-    second = run_cycle(config, client, clock=lambda: "t2")
+    assert capsys.readouterr().out == (
+        "added   github.com/a/x  2026-01-01T00:00:00Z  (k)\n")
+    second = run_cycle(config, client)
     assert second.status == "ok"
     assert second.changes.is_empty()
     cursor, _ = load_state(config.state_path)
     assert cursor == "t2"  # cursor moved despite empty delta
 
 
-def test_failed_webhook_keeps_state(tmp_path):
+def test_failed_webhook_keeps_state(tmp_path, monkeypatch):
     config = WatchConfig(keywords=("k",), state_path=str(tmp_path / "s.json"),
                          notify="https://hooks.example/in")
-    client = RecordedSearchClient({"k": [item("a/x", "2026-01-01T00:00:00Z")]})
+    client = replay(tmp_path, {"k": [item("a/x", "2026-01-01T00:00:00Z")]})
 
     class Failing:
         status_code = 500
 
-    result = run_cycle(config, client, clock=lambda: "t1",
-                       http_post=lambda url, json, timeout: Failing())
+    clock_reads(monkeypatch, "t1", "t2")
+    monkeypatch.setattr(collector.requests, "post", lambda url, json, timeout: Failing())
+    result = run_cycle(config, client)
     assert result.status == "delivery-failed"
     assert not os.path.exists(config.state_path)
 
@@ -174,7 +192,8 @@ def test_failed_webhook_keeps_state(tmp_path):
         posted["body"] = json
         return Accepted()
 
-    retry = run_cycle(config, client, clock=lambda: "t2", http_post=accept)
+    monkeypatch.setattr(collector.requests, "post", accept)
+    retry = run_cycle(config, client)
     assert retry.status == "ok"
     assert posted["url"] == "https://hooks.example/in"
     assert [p["project_id"] for p in posted["body"]["added"]] == ["github.com/a/x"]
@@ -182,31 +201,33 @@ def test_failed_webhook_keeps_state(tmp_path):
     assert load_state(config.state_path)[0] == "t2"
 
 
-def test_webhook_connection_error_is_failed_delivery(tmp_path):
+def test_webhook_connection_error_is_failed_delivery(tmp_path, monkeypatch):
     config = WatchConfig(keywords=("k",), state_path=str(tmp_path / "s.json"),
                          notify="https://hooks.example/in")
-    client = RecordedSearchClient({"k": [item("a/x", "2026-01-01T00:00:00Z")]})
+    client = replay(tmp_path, {"k": [item("a/x", "2026-01-01T00:00:00Z")]})
 
     def explode(url, json, timeout):
         raise requests.ConnectionError("refused")
 
-    result = run_cycle(config, client, http_post=explode)
+    monkeypatch.setattr(collector.requests, "post", explode)
+    result = run_cycle(config, client)
     assert result.status == "delivery-failed"
 
 
-def test_watch_loop_sleeps_interval(tmp_path):
+def test_watch_loop_sleeps_interval(tmp_path, monkeypatch):
     config = WatchConfig(keywords=("k",), interval_days=3,
                          state_path=str(tmp_path / "s.json"))
-    client = RecordedSearchClient({"k": []})
+    client = replay(tmp_path, {"k": []})
     naps = []
-    results = list(watch_loop(config, client, cycles=3, sleep=naps.append,
-                              clock=lambda: "t"))
+    monkeypatch.setattr(collector.time, "sleep", naps.append)
+    clock_reads(monkeypatch, "t", "t", "t")
+    results = list(watch_loop(config, client, cycles=3))
     assert len(results) == 3
     assert naps == [3 * 86400.0, 3 * 86400.0]
 
 
 def test_replayed_auth_failure(tmp_path):
-    client = RecordedSearchClient({"k": {"error": "auth"}})
+    client = replay(tmp_path, {"k": {"error": "auth"}})
     with pytest.raises(AuthError):
         poll(client, WatchConfig(keywords=("k",)))
 
@@ -238,20 +259,27 @@ class FakeSession:
         return result
 
 
-def test_http_client_pages_until_short_batch():
+def http_client(monkeypatch, config, session, naps=None):
+    """An HttpSearchClient on ``session`` whose sleeps go to ``naps``."""
+    monkeypatch.setattr(collector.requests, "Session", lambda: session)
+    monkeypatch.setattr(collector.time, "sleep", [].append if naps is None else naps.append)
+    return HttpSearchClient(config)
+
+
+def test_http_client_pages_until_short_batch(monkeypatch):
     config = WatchConfig(per_page=2, max_pages=5)
     session = FakeSession([
         FakeResponse(200, {"items": [item("a/x", "t"), item("b/y", "t")]}),
         FakeResponse(200, {"items": [item("c/z", "t")]}),
     ])
-    client = HttpSearchClient(config, session=session, sleep=lambda s: None)
+    client = http_client(monkeypatch, config, session)
     results = client.search("smart contract bugs")
     assert len(results) == 3
     assert [c["params"]["page"] for c in session.calls] == [1, 2]
     assert session.calls[0]["params"]["q"] == "smart contract bugs"
 
 
-def test_http_client_retries_with_backoff_then_succeeds():
+def test_http_client_retries_with_backoff_then_succeeds(monkeypatch):
     config = WatchConfig(max_retries=3)
     session = FakeSession([
         requests.ConnectionError("reset"),
@@ -259,15 +287,15 @@ def test_http_client_retries_with_backoff_then_succeeds():
         FakeResponse(200, {"items": []}),
     ])
     naps = []
-    client = HttpSearchClient(config, session=session, sleep=naps.append)
+    client = http_client(monkeypatch, config, session, naps)
     assert client.search("k") == []
     assert naps == [1.0, 2.0]  # doubling delays
 
 
-def test_http_client_gives_up_after_max_retries():
+def test_http_client_gives_up_after_max_retries(monkeypatch):
     config = WatchConfig(max_retries=1)
     session = FakeSession([FakeResponse(500), FakeResponse(500)])
-    client = HttpSearchClient(config, session=session, sleep=lambda s: None)
+    client = http_client(monkeypatch, config, session)
     with pytest.raises(RuntimeError):
         client.search("k")
 
@@ -276,7 +304,7 @@ def test_http_client_auth_error_names_the_fix(monkeypatch):
     monkeypatch.setenv("REPO_SEARCH_TOKEN", "expired")
     config = WatchConfig()
     session = FakeSession([FakeResponse(401)])
-    client = HttpSearchClient(config, session=session, sleep=lambda s: None)
+    client = http_client(monkeypatch, config, session)
     with pytest.raises(AuthError) as err:
         client.search("k")
     message = str(err.value)
@@ -284,7 +312,7 @@ def test_http_client_auth_error_names_the_fix(monkeypatch):
     assert "401" in message
 
 
-def test_http_client_sleeps_through_rate_limit():
+def test_http_client_sleeps_through_rate_limit(monkeypatch):
     config = WatchConfig()
     session = FakeSession([
         FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
@@ -292,28 +320,28 @@ def test_http_client_sleeps_through_rate_limit():
         FakeResponse(200, {"items": []}),
     ])
     naps = []
-    client = HttpSearchClient(config, session=session, sleep=naps.append)
+    client = http_client(monkeypatch, config, session, naps)
     assert client.search("k") == []
     assert len(naps) == 1
 
 
-def test_http_client_names_a_rate_limit_that_never_resets():
+def test_http_client_names_a_rate_limit_that_never_resets(monkeypatch):
     config = WatchConfig(max_retries=2)
     limited = FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
                                          "X-RateLimit-Reset": "0"})
     session = FakeSession([limited] * 3)
     naps = []
-    client = HttpSearchClient(config, session=session, sleep=naps.append)
+    client = http_client(monkeypatch, config, session, naps)
     with pytest.raises(RuntimeError) as err:
         client.search("k")
     assert str(err.value) == "search rate limit did not reset after 2 retries"
     assert (len(session.calls), len(naps)) == (3, 2)  # no sleep after the last reply
 
 
-def test_http_client_403_without_rate_limit_is_auth():
+def test_http_client_403_without_rate_limit_is_auth(monkeypatch):
     config = WatchConfig()
     session = FakeSession([FakeResponse(403)])
-    client = HttpSearchClient(config, session=session, sleep=lambda s: None)
+    client = http_client(monkeypatch, config, session)
     with pytest.raises(AuthError):
         client.search("k")
 

@@ -351,12 +351,29 @@ def test_wrong_signature_needs_comparison():
      ["E-a-SW"]),
     # the result is stored in a field; the one equality compares other addresses
     ("auth.signer = ecrecover(h, v, r, s); require(msg.sender == auth.owner);", []),
-], ids=["buggy", "fixed"])
+    # a result assigned to a declared name, a mapping entry or a field is
+    # compared where it is stored, and a zero-address check on it guards it
+    ("address signer; signer = ecrecover(h, v, r, s); require(signer == owner);",
+     ["E-a-SW"]),
+    ("address signer; signer = ecrecover(h, v, r, s); "
+     "require(signer != address(0)); require(signer == owner);", []),
+    ("recovered[h] = ecrecover(h, v, r, s); require(recovered[h] == owner);",
+     ["E-a-SW"]),
+    ("recovered[h] = ecrecover(h, v, r, s); require(recovered[h] != address(0)); "
+     "require(recovered[h] == owner);", []),
+    ("auth.signer = ecrecover(h, v, r, s); require(auth.signer == owner);",
+     ["E-a-SW"]),
+    ("auth.signer = ecrecover(h, v, r, s); require(auth.signer != address(0)); "
+     "require(auth.signer == owner);", []),
+], ids=["buggy", "fixed", "assigned", "assigned-checked", "mapping", "mapping-checked",
+        "field", "field-checked"])
 def test_wrong_signature_compares_the_result_not_its_container(body, findings):
     assert ids(run(HEADER + """
         contract C {
             struct Auth { address owner; address signer; }
             Auth auth;
+            address owner;
+            mapping(bytes32 => address) recovered;
             function f(bytes32 h, uint8 v, bytes32 r, bytes32 s) public {
                 %s
             }

@@ -217,6 +217,38 @@ def test_assignment_state_flag():
     assert [a.lhs_base for a in state_writes] == ["balance"]
 
 
+def test_delete_is_a_state_write_with_no_right_side():
+    model = parse("""
+        pragma solidity ^0.4.24;
+        contract C {
+            mapping(address => uint) m;
+            function f(address a) public { delete m[a]; }
+        }
+    """)
+    (stmt,) = model.contracts[0].functions[0].body
+    assert stmt.kind is StmtKind.ASSIGNMENT
+    assert (stmt.assign.lhs, stmt.assign.rhs, stmt.assign.lhs_base) == ("m [ a ]", "", "m")
+    assert stmt.assign.lhs_is_state_var
+
+
+def test_callee_spans_bracketed_parts():
+    model = parse("""
+        pragma solidity ^0.4.24;
+        contract C {
+            function f(uint i) public {
+                payees[i].transfer(1);
+                getPayee(i).call.value(1)();
+                x.y(z).send(2);
+            }
+        }
+    """)
+    transfer, call, send = [s.call for s in model.contracts[0].functions[0].body]
+    assert (transfer.callee, transfer.member) == ("payees [ i ]", "transfer")
+    assert (call.callee, call.member) == ("getPayee ( i )", "call")
+    assert call.carries_value and not call.gas_specified and call.payload_empty
+    assert (send.callee, send.member) == ("x . y ( z )", "send")
+
+
 def test_legacy_call_detail():
     source = fixture_source("reentrancy_buggy.sol")
     model = parse(source, "reentrancy_buggy.sol")

@@ -596,9 +596,8 @@ def _reference_wrong_signature_guard(contract, fn):
     for s in rec_stmts:
         if s.decl is not None and s.decl.name:
             result_vars.append(s.decl.name)
-        elif (s.assign is not None and "ecrecover" in s.assign.rhs
-              and _nospace(s.assign.lhs) == s.assign.lhs_base):
-            result_vars.append(s.assign.lhs_base)
+        elif s.assign is not None and "ecrecover" in s.assign.rhs:
+            result_vars.append(_nospace(s.assign.lhs))
     var_patterns = [p for v in map(re.escape, result_vars)
                     for p in (rf"(?<![\w$]){v}==({_IDENT})", rf"({_IDENT})=={v}(?![\w$])")]
     compare_stmt = None
@@ -650,6 +649,10 @@ _REFERENCE_RULES = {
 @example(source="contract C { int8 y; function f() public { x = ) + uint8(y); } }")
 @example(source="contract C { function f(bytes32 h, uint8 v, bytes32 r, bytes32 s, "
                 "address o) public { require(ecrecover(h, v, r, s) = = o); } }")
+# an ``ecrecover`` result stored in a mapping entry and in a struct field
+@example(source="contract C { function f(bytes32 h, uint8 v, bytes32 r, bytes32 s, "
+                "address o) public { m[h] = ecrecover(h, v, r, s); require(m[h] == o); "
+                "a.b = ecrecover(h, v, r, s); require(o == a . b); } }")
 def test_token_walking_rules_match_the_rules_they_replaced(bug_id, source):
     model = parse(source, "prop.sol")
     assert DETECTORS[bug_id].rule(model) == _REFERENCE_RULES[bug_id].rule(model)

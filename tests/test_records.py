@@ -49,7 +49,7 @@ FIELDS = {
                             "max_retries"),
     collector.ProjectSnapshot: ("project_id", "last_update", "matched_keyword"),
     collector.ChangeSet: ("added", "updated", "removed"),
-    collector.CycleResult: ("status", "changes", "checked_at"),
+    collector.CycleResult: ("status", "changes"),
 }
 
 SOURCE = """pragma solidity ^0.4.24;

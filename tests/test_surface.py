@@ -1,4 +1,5 @@
-"""Every public name in the package has a reader besides the tests.
+"""Every public name and every parameter default in the package is used
+by a program path, not only by the tests.
 
 A public top-level function or class of ``src/solbuglab/*.py``, or a public
 method of such a class (dunders aside), must be named somewhere that is not
@@ -73,3 +74,64 @@ def test_every_public_name_has_a_reader_outside_the_tests():
                 continue
             unread.append("%s:%d %s" % (os.path.basename(path), first, name))
     assert unread == [], "only tests name: " + ", ".join(unread)
+
+
+def _defaults(tree):
+    """(callee name, line, the parameters a call fills by position, those
+    with a default) of each def in ``tree``. An ``__init__`` is called by
+    its class's name, and no position fills a method's ``self``."""
+    owners = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args, owner = node.args, owners.get(id(node))
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        name = node.name
+        if owner is not None:
+            positional = positional[1:]
+            name = owner.name if name == "__init__" else name
+        yield name, node.lineno, positional, defaulted
+
+
+def _passes(call, positional, name):
+    return (any(k.arg in (name, None) for k in call.keywords)  # None: **kwargs
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or name in positional[:len(call.args)])
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A parameter with a default that no program path passes has one value
+    in use, its default, so it is a knob that only tests turn.
+
+    The check goes by name. A call in ``src/``, ``perfbench/`` or ``tools/``
+    matches a definition in ``src/solbuglab/*.py`` when it calls that name,
+    as ``f(...)`` or ``x.f(...)``, or the class's name for an ``__init__``.
+    It passes a parameter by keyword, by position, or through ``*`` or
+    ``**``, which count as passing every parameter. A parameter forwarded
+    from the caller's own parameter counts as passed, so in a chain of
+    functions that hand one knob down, only the outermost end is flagged,
+    and removing the knob there removes the whole chain.
+    """
+    trees = {path: ast.parse(_read(path))
+             for pattern in ("src/solbuglab/*.py", "perfbench/*.py", "tools/*.py")
+             for path in sorted(glob.glob(os.path.join(ROOT, pattern)))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls.setdefault(getattr(func, "id", None) or getattr(func, "attr", None),
+                                 []).append(node)
+
+    unpassed = []
+    for path, tree in trees.items():
+        if os.path.basename(os.path.dirname(path)) != "solbuglab":
+            continue
+        for callee, line, positional, defaulted in _defaults(tree):
+            unpassed += ["%s:%d %s(%s)" % (os.path.basename(path), line, callee, name)
+                         for name in defaulted
+                         if not any(_passes(c, positional, name) for c in calls.get(callee, ()))]
+    assert unpassed == [], "no program path passes: " + ", ".join(unpassed)
