@@ -32,6 +32,9 @@ DEFAULT_KEYWORDS = (
 )
 
 DEFAULT_INTERVAL_DAYS = 15
+PER_PAGE = 50  # results asked for per search page
+MAX_PAGES = 4  # pages read per keyword
+MAX_RETRIES = 3  # retries of a failed or rate-limited search request
 
 
 class AuthError(RuntimeError):
@@ -45,9 +48,6 @@ class WatchConfig(NamedTuple):
     token_env: str = "REPO_SEARCH_TOKEN"
     state_path: str = "watch_state.json"
     notify: str = "stdout"  # "stdout" or a webhook URL
-    per_page: int = 50
-    max_pages: int = 4
-    max_retries: int = 3
 
 
 def load_config(path: str) -> WatchConfig:
@@ -66,13 +66,12 @@ def load_config(path: str) -> WatchConfig:
             problems.append("keywords must be a non-empty list of non-empty strings")
         else:
             fields["keywords"] = tuple(keywords)
-    for key in ("interval_days", "per_page", "max_pages", "max_retries"):
-        value = raw.get(key)
-        if value is not None:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                problems.append("%s must be a positive integer" % key)
-            else:
-                fields[key] = value
+    interval = raw.get("interval_days")
+    if interval is not None:
+        if not isinstance(interval, int) or isinstance(interval, bool) or interval < 1:
+            problems.append("interval_days must be a positive integer")
+        else:
+            fields["interval_days"] = interval
     for key in ("endpoint", "token_env", "state_path"):
         value = raw.get(key)
         if value is not None:
@@ -120,20 +119,23 @@ class HttpSearchClient:
     def _get(self, params: Dict[str, object]) -> dict:
         config = self._config
         delay = 1.0
-        for attempt in range(config.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 response = self._session.get(config.endpoint, params=params,
                                              headers=self._headers(), timeout=30)
             except requests.RequestException as exc:
-                failure = "search request failed after %d retries: %s" % (
-                    config.max_retries, exc)
+                failure = "search request failed after %d retries: %s" % (MAX_RETRIES, exc)
             else:
                 if response.status_code in (401, 403):
                     remaining = response.headers.get("X-RateLimit-Remaining")
                     reset = response.headers.get("X-RateLimit-Reset")
                     if response.status_code == 403 and remaining == "0" and reset:
-                        if attempt < config.max_retries:
-                            time.sleep(max(0.0, float(reset) - time.time()) + 1.0)
+                        if attempt < MAX_RETRIES:
+                            try:
+                                time.sleep(max(0.0, float(reset) - time.time()) + 1.0)
+                            except (ValueError, OverflowError):  # no time to sleep until
+                                time.sleep(delay)  # back off as after a failure
+                                delay *= 2
                         continue
                     raise AuthError(
                         "search authentication failed (HTTP %d): set $%s to a valid "
@@ -143,22 +145,20 @@ class HttpSearchClient:
                     response.raise_for_status()
                     return response.json()
                 failure = "search endpoint kept failing (HTTP %d)" % response.status_code
-            if attempt == config.max_retries:
+            if attempt == MAX_RETRIES:
                 raise RuntimeError(failure)
             time.sleep(delay)  # exponential backoff
             delay *= 2
         # only a rate limit still in force at the last attempt ends up here
-        raise RuntimeError("search rate limit did not reset after %d retries"
-                           % config.max_retries)
+        raise RuntimeError("search rate limit did not reset after %d retries" % MAX_RETRIES)
 
     def search(self, keyword: str) -> List[dict]:
         items: List[dict] = []
-        for page in range(1, self._config.max_pages + 1):
-            payload = self._get({"q": keyword, "per_page": self._config.per_page,
-                                 "page": page})
+        for page in range(1, MAX_PAGES + 1):
+            payload = self._get({"q": keyword, "per_page": PER_PAGE, "page": page})
             batch = payload.get("items", [])
             items.extend(batch)
-            if len(batch) < self._config.per_page:
+            if len(batch) < PER_PAGE:
                 break
         return items
 

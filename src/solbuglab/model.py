@@ -80,7 +80,6 @@ class CallDetail(NamedTuple):
 class AssignDetail(NamedTuple):
     lhs: str
     rhs: str
-    lhs_base: str
     lhs_is_state_var: bool
 
 
@@ -96,7 +95,6 @@ class VarDecl(NamedTuple):
 class Guard(NamedTuple):
     """A require/assert/if condition, recorded in lexical order."""
 
-    kind: str  # "require" | "assert" | "if"
     condition: str
     span: Span
 
@@ -127,7 +125,6 @@ class FunctionDecl(NamedTuple):
 
 class ContractDecl(NamedTuple):
     name: str
-    kind: str  # "contract" | "library" | "interface"
     state_vars: Tuple[VarDecl, ...]
     functions: Tuple[FunctionDecl, ...]
     span: Span

@@ -363,16 +363,16 @@ def _call_suffix(code: _Code, k: int, hi: int, member: str) -> Tuple[bool, bool,
     return carries, gas, payload_empty
 
 
-def _guard(code: _Code, kind: str, p: int, hi: int, span: Span) -> Tuple[Guard, int]:
-    """Guard ``kind`` on the group opened at ``p``, and the index of that
+def _guard(code: _Code, p: int, hi: int, span: Span) -> Tuple[Guard, int]:
+    """The guard on the group opened at ``p``, and the index of that
     group's closer (``hi`` if unclosed before it).  With no ``(`` at ``p``
     the condition is empty at ``span`` and the index is ``p - 1``."""
 
     if p >= hi or code.texts[p] != "(":
-        return Guard(kind, "", span), p - 1
+        return Guard("", span), p - 1
     close = min(code.partner[p], hi)
     cond = " ".join(code.texts[p + 1 : close])
-    return Guard(kind, cond, code.span(p + 1, close) if close > p + 1 else span), close
+    return Guard(cond, code.span(p + 1, close) if close > p + 1 else span), close
 
 
 class _BodyParser:
@@ -419,7 +419,7 @@ class _BodyParser:
         kw = texts[i]
         after = i + 1
         if kw == "if":
-            guard, close = _guard(code, "if", after, hi, code.span(i, after))
+            guard, close = _guard(code, after, hi, code.span(i, after))
             self.guards.append(guard)
             after = min(close + 1, hi)
         elif _HEADERS[kw] and after < hi and texts[after] == "(":
@@ -476,7 +476,7 @@ class _BodyParser:
             self._emit(StmtKind.RETURN, lo, hi, call=_scan_call(code, lo, core))
             return
         if first in ("require", "assert"):
-            self.guards.append(_guard(code, first, lo + 1, core, code.span(lo, core))[0])
+            self.guards.append(_guard(code, lo + 1, core, code.span(lo, core))[0])
             self._emit(StmtKind.REQUIRE_OR_ASSERT, lo, hi, call=_scan_call(code, lo, core))
             return
         if first == "delete":
@@ -520,11 +520,12 @@ class _BodyParser:
     def _assign(self, lo: int, hi: int, rhs_lo: int = 0, rhs_hi: int = 0,
                 lhs: Optional[str] = None) -> AssignDetail:
         """The write to ``[lo, hi)`` (its text ``lhs`` when given) of
-        ``[rhs_lo, rhs_hi)``; its base is the first identifier in it."""
+        ``[rhs_lo, rhs_hi)``; it writes state when its first identifier is
+        a state variable."""
         toks, texts = self.toks, self.texts
         base = next((texts[i] for i in range(lo, hi) if toks[i][KIND] is _IDENTIFIER), "")
         return AssignDetail(lhs=" ".join(texts[lo:hi]) if lhs is None else lhs,
-                            rhs=" ".join(texts[rhs_lo:rhs_hi]), lhs_base=base,
+                            rhs=" ".join(texts[rhs_lo:rhs_hi]),
                             lhs_is_state_var=base in self.state_vars)
 
 
@@ -636,7 +637,7 @@ def _parse_contract(
     state_names = {v.name for v in state_vars}.union(*(inherited.get(b, ()) for b in bases))
     inherited[name] = state_names
     functions = tuple(_parse_function(code, *head, close, state_names) for head in heads)
-    contract = ContractDecl(name, kind, tuple(state_vars), functions,
+    contract = ContractDecl(name, tuple(state_vars), functions,
                             (start, toks[resume - 1][END]))
     return contract, resume
 

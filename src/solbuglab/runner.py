@@ -3,10 +3,7 @@
 A batch is dealt, largest file first, into one group per usable CPU, but
 never into more groups than it holds ``SPLIT_FLOOR_BYTES`` of input, nor
 more than it holds files.  The first group runs in the calling
-process, pinned to the first CPU of its mask for the duration of the call;
-every other group runs in a forked worker pinned to a CPU of its own.  The
-kernel may not move a process between CPUs by itself (a cpuset with load
-balancing off), so an unpinned worker can end up sharing its parent's CPU.
+process, and every other group in a forked worker of its own.
 
 A worker sends its per-file results back through a pipe as a pickle and
 leaves with ``os._exit``.  When a worker cannot be started, exits non-zero
@@ -44,18 +41,10 @@ def _scan_group(paths: Sequence[str], enabled: Optional[Sequence[str]]) -> List[
     return results
 
 
-def _usable_cpus() -> List[int]:
+def _usable_cpus() -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return []
-    return sorted(os.sched_getaffinity(0))
-
-
-def _pin(cpus) -> None:
-    # Best effort: an unpinned process computes the same results.
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def plan_groups(sizes: Sequence[int], cpus: int) -> List[List[int]]:
@@ -80,9 +69,9 @@ def _size(path: str) -> int:
 
 
 class _Worker:
-    """A forked process that scans one group, pinned to one CPU."""
+    """A forked process that scans one group."""
 
-    def __init__(self, group: List[str], enabled: Optional[Sequence[str]], cpu: int):
+    def __init__(self, group: List[str], enabled: Optional[Sequence[str]]):
         import pickle
 
         self.group = group
@@ -97,7 +86,6 @@ class _Worker:
             code = 1
             try:
                 os.close(read_fd)
-                _pin({cpu})
                 data = pickle.dumps(_scan_group(group, enabled), pickle.HIGHEST_PROTOCOL)
                 with open(write_fd, "wb") as out:
                     out.write(data)
@@ -143,31 +131,25 @@ def scan_files(paths: Sequence[str], enabled: Optional[Sequence[str]] = None
     ``detect_all(parse_file(path), enabled)`` returns.  Rule ids must already
     be known to ``detect_all``."""
     cpus = _usable_cpus()
-    groups = plan_groups([_size(p) for p in paths], len(cpus)) if len(cpus) > 1 else []
+    groups = plan_groups([_size(p) for p in paths], cpus) if cpus > 1 else []
     if len(groups) < 2 or threading.active_count() > 1:
         return _scan_group(paths, enabled)
 
     results: List[Optional[FileResult]] = [None] * len(paths)
     workers: List[Tuple[List[int], Optional[_Worker]]] = []
     try:
-        for indexes, cpu in zip(groups[1:], cpus[1:]):
+        for indexes in groups[1:]:
             try:
-                worker: Optional[_Worker] = _Worker([paths[i] for i in indexes],
-                                                    enabled, cpu)
+                worker: Optional[_Worker] = _Worker([paths[i] for i in indexes], enabled)
             except OSError:
                 worker = None
             workers.append((indexes, worker))
-        mask = os.sched_getaffinity(0)
-        _pin({cpus[0]})
-        try:
-            for indexes, worker in [(groups[0], None)] + workers:
-                got = worker.results() if worker is not None else None
-                if got is None:
-                    got = _scan_group([paths[i] for i in indexes], enabled)
-                for index, result in zip(indexes, got):
-                    results[index] = result
-        finally:
-            _pin(mask)
+        for indexes, worker in [(groups[0], None)] + workers:
+            got = worker.results() if worker is not None else None
+            if got is None:
+                got = _scan_group([paths[i] for i in indexes], enabled)
+            for index, result in zip(indexes, got):
+                results[index] = result
     finally:
         for _, worker in workers:
             if worker is not None:

@@ -267,7 +267,9 @@ def http_client(monkeypatch, config, session, naps=None):
 
 
 def test_http_client_pages_until_short_batch(monkeypatch):
-    config = WatchConfig(per_page=2, max_pages=5)
+    monkeypatch.setattr(collector, "PER_PAGE", 2)
+    monkeypatch.setattr(collector, "MAX_PAGES", 5)
+    config = WatchConfig()
     session = FakeSession([
         FakeResponse(200, {"items": [item("a/x", "t"), item("b/y", "t")]}),
         FakeResponse(200, {"items": [item("c/z", "t")]}),
@@ -280,7 +282,8 @@ def test_http_client_pages_until_short_batch(monkeypatch):
 
 
 def test_http_client_retries_with_backoff_then_succeeds(monkeypatch):
-    config = WatchConfig(max_retries=3)
+    monkeypatch.setattr(collector, "MAX_RETRIES", 3)
+    config = WatchConfig()
     session = FakeSession([
         requests.ConnectionError("reset"),
         FakeResponse(503),
@@ -293,7 +296,8 @@ def test_http_client_retries_with_backoff_then_succeeds(monkeypatch):
 
 
 def test_http_client_gives_up_after_max_retries(monkeypatch):
-    config = WatchConfig(max_retries=1)
+    monkeypatch.setattr(collector, "MAX_RETRIES", 1)
+    config = WatchConfig()
     session = FakeSession([FakeResponse(500), FakeResponse(500)])
     client = http_client(monkeypatch, config, session)
     with pytest.raises(RuntimeError):
@@ -326,7 +330,8 @@ def test_http_client_sleeps_through_rate_limit(monkeypatch):
 
 
 def test_http_client_names_a_rate_limit_that_never_resets(monkeypatch):
-    config = WatchConfig(max_retries=2)
+    monkeypatch.setattr(collector, "MAX_RETRIES", 2)
+    config = WatchConfig()
     limited = FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
                                          "X-RateLimit-Reset": "0"})
     session = FakeSession([limited] * 3)
@@ -336,6 +341,27 @@ def test_http_client_names_a_rate_limit_that_never_resets(monkeypatch):
         client.search("k")
     assert str(err.value) == "search rate limit did not reset after 2 retries"
     assert (len(session.calls), len(naps)) == (3, 2)  # no sleep after the last reply
+
+
+@pytest.mark.parametrize("reset", ["soon", "inf"])
+def test_http_client_backs_off_a_rate_limit_with_no_reset_time(monkeypatch, reset):
+    monkeypatch.setattr(collector, "MAX_RETRIES", 2)
+    limited = FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
+                                         "X-RateLimit-Reset": reset})
+    session = FakeSession([limited] * 3)
+    naps = []
+    client = http_client(monkeypatch, WatchConfig(), session)
+
+    def nap(seconds):
+        if seconds == float("inf"):  # as time.sleep does
+            raise OverflowError("timestamp out of range for platform time_t")
+        naps.append(seconds)
+
+    monkeypatch.setattr(collector.time, "sleep", nap)
+    with pytest.raises(RuntimeError) as err:
+        client.search("k")
+    assert str(err.value) == "search rate limit did not reset after 2 retries"
+    assert (len(session.calls), naps) == (3, [1.0, 2.0])  # the usual backoff
 
 
 def test_http_client_403_without_rate_limit_is_auth(monkeypatch):
@@ -358,7 +384,7 @@ def test_load_config_round_trip(tmp_path):
     assert config.keywords == ("solidity analyzers",)
     assert config.interval_days == 30
     assert config.notify == "https://hooks.example/x"
-    assert config.per_page == 50  # untouched default
+    assert config.token_env == "REPO_SEARCH_TOKEN"  # untouched default
 
 
 def test_load_config_reports_every_problem(tmp_path):
@@ -372,6 +398,15 @@ def test_load_config_reports_every_problem(tmp_path):
     with pytest.raises(InputError) as err:
         load_config(str(path))
     assert len(err.value.problems) == 4
+
+
+@pytest.mark.parametrize("key", ["per_page", "max_pages", "max_retries"])
+def test_load_config_rejects_the_search_constants(tmp_path, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: 10}), encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        load_config(str(path))
+    assert err.value.problems == ["unknown key %r" % key]
 
 
 def test_default_clock_shape():

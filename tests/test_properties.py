@@ -445,7 +445,7 @@ def _guard_cases(draw, operators, zeros, operands_per_query):
     condition = st.tuples(st.lists(comparison, max_size=3), _GLUE).map(
         lambda c: c[1].join(c[0]))
     guards = draw(st.lists(st.builds(
-        lambda text, offset: Guard("require", text, (offset, offset + 1)),
+        lambda text, offset: Guard(text, (offset, offset + 1)),
         condition, _OFFSET), max_size=5))
     operand = side | _OPERAND | st.just("")
     flat = [_nospace(g.condition) for g in guards if g.condition.strip()]
@@ -467,7 +467,7 @@ def _before(guards, offset):
 @_SETTINGS
 @given(_guard_cases((">=", "<=", ">", "<"), ("0",), (0, 3)))
 # ``$`` just outside an operand that is not one word run: no match
-@example(([Guard("require", "a$.x>=0&&0>=x.$", (0, 1))], [([".x", "x."], float("inf"))]))
+@example(([Guard("a$.x>=0&&0>=x.$", (0, 1))], [([".x", "x."], float("inf"))]))
 def test_order_guard_index_matches_zero_bound_regexes(case):
     guards, queries = case
     index = GuardIndex(guards, ORDER_VS_ZERO)

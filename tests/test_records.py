@@ -20,14 +20,14 @@ from solbuglab.parser import parse
 FIELDS = {
     model.CallDetail: ("callee", "member", "carries_value", "gas_specified",
                        "payload_empty"),
-    model.AssignDetail: ("lhs", "rhs", "lhs_base", "lhs_is_state_var"),
+    model.AssignDetail: ("lhs", "rhs", "lhs_is_state_var"),
     model.VarDecl: ("name", "type_text", "type_class", "storage_location",
                     "has_initializer", "span"),
-    model.Guard: ("kind", "condition", "span"),
+    model.Guard: ("condition", "span"),
     model.Stmt: ("kind", "span", "text", "call", "assign", "decl", "tokens"),
     model.FunctionDecl: ("name", "params", "visibility", "body", "span", "body_span",
                          "is_fallback", "has_body", "guards"),
-    model.ContractDecl: ("name", "kind", "state_vars", "functions", "span"),
+    model.ContractDecl: ("name", "state_vars", "functions", "span"),
     model.Diagnostic: ("message", "span"),
     model.SourceModel: ("file_path", "pragma", "contracts", "diagnostics", "tokens"),
     versions.PragmaConstraint: ("raw_text", "lower", "upper"),
@@ -45,8 +45,7 @@ FIELDS = {
     evaluation.SegmentMetrics: ("name", "per_kind", "micro"),
     evaluation.MetricsReport: ("tool_name", "coverage", "segments", "warnings"),
     collector.WatchConfig: ("keywords", "interval_days", "endpoint", "token_env",
-                            "state_path", "notify", "per_page", "max_pages",
-                            "max_retries"),
+                            "state_path", "notify"),
     collector.ProjectSnapshot: ("project_id", "last_update", "matched_keyword"),
     collector.ChangeSet: ("added", "updated", "removed"),
     collector.CycleResult: ("status", "changes"),

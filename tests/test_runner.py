@@ -66,10 +66,10 @@ def one_cpu():
 
 @pytest.fixture()
 def several_cpus(monkeypatch):
-    """At least two usable CPUs; on a one-CPU host both are the same CPU."""
-    cpus = sorted(os.sched_getaffinity(0))
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus if len(cpus) > 1 else cpus * 2)
-    return cpus
+    """At least two usable CPUs; on a one-CPU host two processes share it."""
+    count = max(len(os.sched_getaffinity(0)), 2)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: count)
+    return count
 
 
 @pytest.fixture()
@@ -136,12 +136,12 @@ def test_split_output_matches_one_cpu(capsys, big, reference, several_cpus, fork
                                       parent_scans, name):
     mask = os.sched_getaffinity(0)
     assert run(capsys, commands(big)[name]) == reference[name]
-    assert 1 <= len(forks) <= max(len(several_cpus), 2) - 1
+    assert 1 <= len(forks) <= several_cpus - 1
     assert os.sched_getaffinity(0) == mask
-    # the caller scanned its own group only, pinned to one CPU
+    # the caller scanned its own group only, with its full CPU mask
     scanned = [path for paths, _ in parent_scans for path in paths]
     assert 0 < len(scanned) < contract_count(big)
-    assert [len(cpus) for _, cpus in parent_scans] == [1]
+    assert [cpus for _, cpus in parent_scans] == [mask]
     code, out, err = reference[name]
     assert code == {"scan-json": 1, "scan-text": 2, "bench": 0}[name]
     if name == "scan-text":

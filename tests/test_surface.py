@@ -1,5 +1,5 @@
-"""Every public name and every parameter default in the package is used
-by a program path, not only by the tests.
+"""Every public name, every parameter default and every model field in the
+package is used by a program path, not only by the tests.
 
 A public top-level function or class of ``src/solbuglab/*.py``, or a public
 method of such a class (dunders aside), must be named somewhere that is not
@@ -135,3 +135,32 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                          for name in defaulted
                          if not any(_passes(c, positional, name) for c in calls.get(callee, ()))]
     assert unpassed == [], "no program path passes: " + ", ".join(unpassed)
+
+
+def _record_fields(tree):
+    """(record, field, line) of each field of each ``NamedTuple`` class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def test_every_model_field_is_read_outside_the_tests():
+    """A field of a ``model.py`` record that no program path reads is
+    computed on every parse for the tests alone.
+
+    The check goes by name: some file of ``src/``, ``perfbench/`` or
+    ``tools/`` must say ``.field``. So a field whose name another record
+    shares, such as ``kind``, passes it when any program text reads that
+    name.
+    """
+    program = "\n".join(_read(path)
+                        for pattern in ("src/solbuglab/*.py", "perfbench/*.py", "tools/*.py")
+                        for path in sorted(glob.glob(os.path.join(ROOT, pattern))))
+    reads = set(re.findall(r"\.(\w+)", program))
+    tree = ast.parse(_read(os.path.join(ROOT, "src", "solbuglab", "model.py")))
+    unread = ["model.py:%d %s.%s" % (line, record, field)
+              for record, field, line in _record_fields(tree) if field not in reads]
+    assert unread == [], "no program path reads: " + ", ".join(unread)
