@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 from datetime import datetime, timezone
+from threading import TIMEOUT_MAX
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 from urllib.parse import urlparse
 
@@ -35,6 +36,7 @@ DEFAULT_INTERVAL_DAYS = 15
 PER_PAGE = 50  # results asked for per search page
 MAX_PAGES = 4  # pages read per keyword
 MAX_RETRIES = 3  # retries of a failed or rate-limited search request
+MAX_INTERVAL_DAYS = int(TIMEOUT_MAX // 86400)  # the longest wait time.sleep takes
 
 
 class AuthError(RuntimeError):
@@ -68,8 +70,10 @@ def load_config(path: str) -> WatchConfig:
             fields["keywords"] = tuple(keywords)
     interval = raw.get("interval_days")
     if interval is not None:
-        if not isinstance(interval, int) or isinstance(interval, bool) or interval < 1:
-            problems.append("interval_days must be a positive integer")
+        if (not isinstance(interval, int) or isinstance(interval, bool)
+                or not 1 <= interval <= MAX_INTERVAL_DAYS):
+            problems.append("interval_days must be an integer from 1 to %d"
+                            % MAX_INTERVAL_DAYS)
         else:
             fields["interval_days"] = interval
     for key in ("endpoint", "token_env", "state_path"):
@@ -116,7 +120,7 @@ class HttpSearchClient:
             headers["Authorization"] = "Bearer %s" % self._token
         return headers
 
-    def _get(self, params: Dict[str, object]) -> dict:
+    def _get(self, params: Dict[str, object]) -> object:
         config = self._config
         delay = 1.0
         for attempt in range(MAX_RETRIES + 1):
@@ -143,7 +147,10 @@ class HttpSearchClient:
                                               config.token_env, config.endpoint))
                 if response.status_code < 500:
                     response.raise_for_status()
-                    return response.json()
+                    try:
+                        return response.json()
+                    except ValueError:  # not JSON: search reports it as no result page
+                        return None
                 failure = "search endpoint kept failing (HTTP %d)" % response.status_code
             if attempt == MAX_RETRIES:
                 raise RuntimeError(failure)
@@ -156,7 +163,10 @@ class HttpSearchClient:
         items: List[dict] = []
         for page in range(1, MAX_PAGES + 1):
             payload = self._get({"q": keyword, "per_page": PER_PAGE, "page": page})
-            batch = payload.get("items", [])
+            batch = payload.get("items", []) if isinstance(payload, dict) else None
+            if not (isinstance(batch, list) and all(isinstance(i, dict) for i in batch)):
+                raise RuntimeError("search reply from %s is not a JSON object with an "
+                                   "items list of objects" % self._config.endpoint)
             items.extend(batch)
             if len(batch) < PER_PAGE:
                 break

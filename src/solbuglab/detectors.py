@@ -113,17 +113,15 @@ class GuardIndex:
     On the first query the conditions are flattened and scanned once with
     ``family`` (ORDER_VS_ZERO, ADDRESS_VS_ZERO or EQUALS_ZERO), each
     comparison filed under its operand's word run.  An operand is looked up
-    by its end run and its start run, in a table of the compared texts of
-    its length that is built once per run and length.  It must be exactly
-    the compared text, with no word character or ``$`` just outside it;
-    whitespace in an operand never matches.
+    by its end run and its start run; a query scans the sites of its run.
+    It must be exactly the compared text, with no word character or ``$``
+    just outside it; whitespace in an operand never matches.
     """
 
     def __init__(self, guards: Iterable[Guard], family: Tuple[re.Pattern, ...]) -> None:
         self._guards, self._family = guards, family
         # (operand first?, run) -> [(guard offset, flat condition, run edge)]
         self._sites: Optional[Dict[Tuple[bool, str], List[Tuple[int, str, int]]]] = None
-        self._tables: Dict[Tuple[bool, str, int], Dict[str, int]] = {}
 
     def _earliest(self, operand_first: bool, operand: str) -> float:
         if self._sites is None:  # built on first use: most functions cast nothing
@@ -136,17 +134,15 @@ class GuardIndex:
                             (offset, flat, m.end(1) if n == 0 else m.start(1)))
         run = (_TAIL_RUN.fullmatch(operand).group(1) if operand_first
                else _HEAD_RUN.match(operand).group())
-        size = len(operand)
-        table = self._tables.get((operand_first, run, size))
-        if table is None:
-            table = self._tables[operand_first, run, size] = {}
-            for offset, flat, edge in self._sites.get((operand_first, run), ()):
-                lo, hi = (edge - size, edge) if operand_first else (edge, edge + size)
-                outside = lo - 1 if operand_first else hi
-                if lo >= 0 and hi <= len(flat) and not (
-                        outside >= 0 and _WORD_CHAR.match(flat, outside)):
-                    table[flat[lo:hi]] = min(offset, table.get(flat[lo:hi], offset))
-        return table.get(operand, float("inf"))
+        size, earliest = len(operand), float("inf")
+        for offset, flat, edge in self._sites.get((operand_first, run), ()):
+            lo, hi = (edge - size, edge) if operand_first else (edge, edge + size)
+            outside = lo - 1 if operand_first else hi
+            # a window past either end of ``flat`` slices shorter than ``operand``
+            if (offset < earliest and flat[lo:hi] == operand
+                    and not (outside >= 0 and _WORD_CHAR.match(flat, outside))):
+                earliest = offset
+        return earliest
 
     def checked(self, operands: Iterable[str], before: float = float("inf")) -> bool:
         """True when a guard starting before offset ``before`` (default: any

@@ -503,6 +503,37 @@ def test_watch_bad_config(capsys, tmp_path):
     assert "interval_days" in err
 
 
+def test_watch_refuses_an_interval_too_long_to_sleep(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"interval_days": 200000, "keywords": ["k"],
+                                  "state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"k": []}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "watch", "--config", str(config),
+                             "--replay", str(replay))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % config)
+    assert "interval_days must be an integer from 1 to " in err
+
+
+def test_watch_refuses_a_search_reply_that_is_no_result_page(capsys, monkeypatch, tmp_path):
+    from solbuglab import collector
+    from test_collector import FakeResponse, FakeSession
+
+    session = FakeSession([FakeResponse(200, ["not", "an", "object"])])
+    monkeypatch.setattr(collector.requests, "Session", lambda: session)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "endpoint": "https://search.example/api",
+                                  "state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    code, _, err = run_cli(capsys, "watch", "--config", str(config), "--once")
+    assert code == 2
+    assert err == ("error: search reply from https://search.example/api is not a "
+                   "JSON object with an items list of objects\n")
+    assert not os.path.exists(str(tmp_path / "state.json"))
+
+
 @pytest.mark.parametrize("state, says", [
     ("{not json", "Expecting property name enclosed in double quotes"),
     ("[]", "a watch state must be a JSON object, not list"),

@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+import time
 
 import pytest
 import requests
@@ -364,6 +366,25 @@ def test_http_client_backs_off_a_rate_limit_with_no_reset_time(monkeypatch, rese
     assert (len(session.calls), naps) == (3, [1.0, 2.0])  # the usual backoff
 
 
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+
+
+@pytest.mark.parametrize("reply", [
+    FakeResponse(200, ["not", "an", "object"]), FakeResponse(200, {"items": 5}),
+    FakeResponse(200, {"items": [item("a/x", "t"), "b/y"]}), NotJsonResponse(200),
+], ids=["list", "items-number", "item-string", "not-json"])
+def test_http_client_rejects_a_reply_that_is_no_result_page(monkeypatch, reply):
+    config = WatchConfig(endpoint="https://search.example/api")
+    session = FakeSession([reply])
+    client = http_client(monkeypatch, config, session)
+    with pytest.raises(RuntimeError) as err:
+        client.search("k")
+    assert str(err.value) == ("search reply from https://search.example/api is not a "
+                              "JSON object with an items list of objects")
+
+
 def test_http_client_403_without_rate_limit_is_auth(monkeypatch):
     config = WatchConfig()
     session = FakeSession([FakeResponse(403)])
@@ -398,6 +419,20 @@ def test_load_config_reports_every_problem(tmp_path):
     with pytest.raises(InputError) as err:
         load_config(str(path))
     assert len(err.value.problems) == 4
+
+
+def test_load_config_bounds_interval_days_by_the_longest_sleep(tmp_path):
+    longest = int(threading.TIMEOUT_MAX // 86400)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"interval_days": longest}), encoding="utf-8")
+    assert load_config(str(path)).interval_days == longest
+    with pytest.raises(OverflowError):  # a day more is too long to sleep
+        time.sleep((longest + 1) * 86400.0)
+    for days in (longest + 1, 200000):
+        path.write_text(json.dumps({"interval_days": days}), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_config(str(path))
+        assert err.value.problems == ["interval_days must be an integer from 1 to %d" % longest]
 
 
 @pytest.mark.parametrize("key", ["per_page", "max_pages", "max_retries"])

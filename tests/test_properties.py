@@ -434,8 +434,8 @@ _CAST = st.just(float("inf")) | _OFFSET  # inf: any guard precedes
 @st.composite
 def _guard_cases(draw, operators, zeros, operands_per_query):
     """Guards and queries that share operands, so that matches are common.
-    Several queries go to one index, so answers kept from an earlier query
-    are checked too; a cast offset of inf stands for "any guard"."""
+    Several queries go to one index, so sites filed by an earlier query are
+    read again; a cast offset of inf stands for "any guard"."""
     pool = draw(st.lists(_OPERAND, min_size=1, max_size=3))
     side = st.sampled_from(pool)
     comparison = st.tuples(
@@ -468,6 +468,8 @@ def _before(guards, offset):
 @given(_guard_cases((">=", "<=", ">", "<"), ("0",), (0, 3)))
 # ``$`` just outside an operand that is not one word run: no match
 @example(([Guard("a$.x>=0&&0>=x.$", (0, 1))], [([".x", "x."], float("inf"))]))
+# guards out of offset order: the earliest match counts, not the first filed
+@example(([Guard("x>=0", (9, 10)), Guard("x>=0", (2, 3))], [(["x"], 5)]))
 def test_order_guard_index_matches_zero_bound_regexes(case):
     guards, queries = case
     index = GuardIndex(guards, ORDER_VS_ZERO)

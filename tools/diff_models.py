@@ -12,9 +12,11 @@ findings differ.
 The inputs are the bundled corpus, ``tests/golden/*.sol``, the ``wide`` and
 ``guarded`` workloads of seeds 1 and 7 as ``perfbench/gen.py`` writes them,
 and 20,000 fragment sources of seed 1 that mix every kind of declaration
-with unbalanced brackets.  The output is the count of differing inputs and the
-first few of them.  Exit status: 0 when nothing differs, 1 when something
-does, 2 when a tree cannot be run.  Standard library only.
+with unbalanced brackets and with the guards, casts, ``ecrecover`` calls
+and double-index writes that the detectors read.  The output is the count
+of differing inputs and the first few of them.  Exit status: 0 when nothing
+differs, 1 when something does, 2 when a tree cannot be run.  Standard
+library only.
 """
 
 import argparse
@@ -47,6 +49,13 @@ FRAGMENTS = (
     "require(x);", "require x (y);", "assert(y > 0);", "assembly { let z := 1 }",
     "assembly ", "if (x) ", "x = 1;", "a.call.value(1)();", "{", "}", "(", ")",
     "[", "]", ";", ",", "=", "\n",
+    # what the guard-reading rules (A-a-IS, E-a-SW, F-c-T) look for
+    "require(a.b >= 0);", "if (0 <= x[i]) ", "require(x >= 0);", "uint256(a.b)",
+    "uint(x[i])", "uint8(x)", "uint(-1)", "int256 x = -1;", "int x;", "int a;",
+    "require(s != address(0));", "ecrecover(h, v, r, s)",
+    "address r = ecrecover(h, v, r, s);", "require(r == s);", "a[b][c] = d;",
+    "a[msg.sender][s] = v;", "require(v == 0);",
+    "function approve(address s, uint v) public { ",
 )
 
 # Run in each child with the tree's ``src`` on the path: one line of JSON per
