@@ -36,19 +36,14 @@ from .model import (
     SourceModel,
     Span,
     Stmt,
-    StmtKind,
-    StorageLocation,
     TypeClass,
     VarDecl,
-    Visibility,
 )
 from .taxonomy import kind_by_id
 from .versions import version_applies
 
-# Module constants: attribute lookups on an Enum class are slow.
-_ASSIGNMENT = StmtKind.ASSIGNMENT
+# Module constant: attribute lookups on an Enum class are slow.
 _STORAGE_TYPES = (TypeClass.USER_COMPOSITE, TypeClass.ARRAY)
-_STORAGE_LOCATIONS = (StorageLocation.STORAGE, StorageLocation.DEFAULT)
 
 
 class Finding(NamedTuple):
@@ -276,7 +271,7 @@ def _uninitialized_storage(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     for s in fn.body:
         d = s.decl
         if (d is not None and not d.has_initializer
-                and d.type_class in _STORAGE_TYPES and d.storage_location in _STORAGE_LOCATIONS):
+                and d.type_class in _STORAGE_TYPES and not d.memory_or_calldata):
             yield d.span, (f"local '{d.name}' ({d.type_text}) has no initializer and "
                            "no data location, so it aliases storage slot 0")
 
@@ -301,11 +296,12 @@ def _reentrancy(contract: ContractDecl, fn: FunctionDecl) -> Hits:
 
 
 def _short_address(contract: ContractDecl, fn: FunctionDecl) -> Hits:
-    """Externally callable transfer-shaped functions with no calldata length check."""
+    """Externally callable transfer-shaped functions with no calldata length
+    check.  A constructor, including one named after its contract as before
+    Solidity 0.4.22, runs only at deployment."""
 
-    if (not fn.has_body or fn.is_fallback or fn.name == "constructor"
-            or fn.visibility not in (Visibility.PUBLIC, Visibility.EXTERNAL,
-                                     Visibility.DEFAULT)):
+    if (not fn.has_body or fn.is_fallback or fn.name in ("constructor", contract.name)
+            or not fn.externally_callable):
         return
     addr_params = _names(fn.params, TypeClass.ADDRESS)
     if (not addr_params or not _names(fn.params, TypeClass.UNSIGNED_INT)
@@ -392,7 +388,7 @@ def _approve_race(contract: ContractDecl, fn: FunctionDecl) -> Hits:
     uint_params = _names(fn.params, TypeClass.UNSIGNED_INT)
     guards = GuardIndex(fn.guards, EQUALS_ZERO)
     for s in fn.body:
-        if s.kind is not _ASSIGNMENT:
+        if s.assign is None or s.assign.compound:
             continue
         lhs, rhs = _nospace(s.assign.lhs), _nospace(s.assign.rhs)
         if (_DOUBLE_INDEX_RE.match(lhs) and rhs in uint_params

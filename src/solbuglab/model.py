@@ -32,39 +32,14 @@ def _repr_without_tokens(record: NamedTuple) -> str:
 
 
 class TypeClass(Enum):
+    """The type classes a rule reads; a declaration of any other type, a
+    mapping included, has ``type_class`` None."""
+
     SIGNED_INT = "signed-int"
     UNSIGNED_INT = "unsigned-int"
     ADDRESS = "address"
-    MAPPING = "mapping"
     ARRAY = "array"
     USER_COMPOSITE = "user-composite"
-    OTHER = "other"
-
-
-class StorageLocation(Enum):
-    STORAGE = "storage"
-    MEMORY = "memory"
-    CALLDATA = "calldata"
-    DEFAULT = "default"
-
-
-class Visibility(Enum):
-    PUBLIC = "public"
-    EXTERNAL = "external"
-    INTERNAL = "internal"
-    PRIVATE = "private"
-    DEFAULT = "default"
-
-
-class StmtKind(Enum):
-    LOCAL_VAR_DECL = "local-var-decl"
-    ASSIGNMENT = "assignment"
-    COMPOUND_ASSIGNMENT = "compound-assignment"
-    REQUIRE_OR_ASSERT = "require-or-assert"
-    IF_GUARD = "if-guard"
-    EXTERNAL_CALL = "external-call"
-    RETURN = "return"
-    OPAQUE = "opaque"
 
 
 class CallDetail(NamedTuple):
@@ -78,16 +53,20 @@ class CallDetail(NamedTuple):
 
 
 class AssignDetail(NamedTuple):
+    """A write to ``lhs``: ``=`` or ``delete``, or, when ``compound``, an
+    operator-assignment (``+=``) or ``++``/``--``."""
+
     lhs: str
     rhs: str
     lhs_is_state_var: bool
+    compound: bool
 
 
 class VarDecl(NamedTuple):
     name: str
     type_text: str
-    type_class: TypeClass
-    storage_location: StorageLocation
+    type_class: Optional[TypeClass]
+    memory_or_calldata: bool  # its first data location word
     has_initializer: bool
     span: Span
 
@@ -100,7 +79,6 @@ class Guard(NamedTuple):
 
 
 class Stmt(NamedTuple):
-    kind: StmtKind
     span: Span
     text: str
     call: Optional[CallDetail] = None
@@ -114,7 +92,7 @@ class Stmt(NamedTuple):
 class FunctionDecl(NamedTuple):
     name: str
     params: Tuple[VarDecl, ...]
-    visibility: Visibility
+    externally_callable: bool  # its last visibility word is not internal or private
     body: Tuple[Stmt, ...]
     span: Span
     body_span: Span

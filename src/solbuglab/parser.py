@@ -1,13 +1,19 @@
 """Shallow structural parser for Solidity source.
 
 Goals: pragma constraints, contract/function/state-variable structure, and a
-flat statement list per function body with byte spans and light
-classification.  Non-goals: a full AST, expression trees, type checking.
+flat statement list per function body with byte spans.  The model keeps
+only the distinctions a rule reads: a statement's first ether-capable member
+call, its write (plain or compound, to state or not) and its local
+declaration; a declaration's type class, if a rule reads that class, and
+whether it is declared ``memory`` or ``calldata``; and whether a function
+is callable from outside.  Non-goals: a full AST, expression trees, type
+checking.
 
 Tolerance is absolute: any input produces a model plus diagnostics, never an
-exception.  Unrecognized constructs become opaque statements.  Statement
-spans partition each function body exactly (leading trivia sticks to the
-following statement, trailing trivia to the last one).
+exception.  Unrecognized constructs become statements with no call, write
+or declaration.  Statement spans partition each function body exactly
+(leading trivia sticks to the following statement, trailing trivia to the
+last one).
 
 Brackets follow one rule: a group ends at the partner of its opening
 bracket, counting that bracket's kind only.  The lexer's ``_partners`` pass
@@ -71,11 +77,8 @@ from .model import (
     SourceModel,
     Span,
     Stmt,
-    StmtKind,
-    StorageLocation,
     TypeClass,
     VarDecl,
-    Visibility,
 )
 from .versions import (
     ANY_VERSION,
@@ -89,17 +92,10 @@ _DECL_FILTER = frozenset(
     ("public", "private", "internal", "external", "constant", "immutable",
      "override", "virtual", "payable", "indexed")
 )
-_LOCATIONS = {
-    "storage": StorageLocation.STORAGE,
-    "memory": StorageLocation.MEMORY,
-    "calldata": StorageLocation.CALLDATA,
-}
-_VISIBILITY = {
-    "public": Visibility.PUBLIC,
-    "external": Visibility.EXTERNAL,
-    "internal": Visibility.INTERNAL,
-    "private": Visibility.PRIVATE,
-}
+# Each data location word, with whether it is ``memory`` or ``calldata``.
+_LOCATIONS = {"storage": False, "memory": True, "calldata": True}
+# Each visibility word, with whether it lets a function be called from outside.
+_VISIBILITY = {"public": True, "external": True, "internal": False, "private": False}
 # The class of each token text that ends or classifies a body statement or a
 # declaration when it is at its top level.  A declaration ends at a ``;`` or
 # after the group a ``{`` opens (``_DECL_ENDS``).
@@ -120,7 +116,6 @@ _INDEXED = frozenset((*_DECLS, "struct"))
 # Module constants: attribute lookups on an Enum class are slow.
 _WORDS = (_IDENTIFIER, _KEYWORD)
 _CALLEE_PARTS = (_IDENTIFIER, _KEYWORD, _NUMBER)
-_NO_LOCATION = StorageLocation.DEFAULT
 
 
 class _Code:
@@ -209,16 +204,17 @@ def _is_type_start(tok: Token, structs: Set[str], contracts: Set[str]) -> bool:
     return kind is _IDENTIFIER and (text in structs or text in contracts)
 
 
-def _classify_type(code: _Code, kept: List[int], type_texts: List[str]) -> TypeClass:
+def _classify_type(code: _Code, kept: List[int], type_texts: List[str]) -> Optional[TypeClass]:
     """The class of the type whose tokens are at ``kept``, with those
-    texts; the tokens between them are not brackets."""
+    texts, or None for a type of no class; the tokens between them are not
+    brackets."""
     first = type_texts[0]
     # a top-level ``[`` past the first token: ``T[]``, ``mapping(...)[...]``
     if "[" in type_texts and any(
             code.texts[i] == "[" for i in _top_level(code, kept[0] + 1, kept[-1] + 1)):
         return TypeClass.ARRAY
     if first == "mapping":
-        return TypeClass.MAPPING
+        return None
     if not code.structs.isdisjoint(type_texts):
         return TypeClass.USER_COMPOSITE
     if first in ("bytes", "string"):
@@ -230,7 +226,7 @@ def _classify_type(code: _Code, kept: List[int], type_texts: List[str]) -> TypeC
         return TypeClass.UNSIGNED_INT
     if stem == "int":
         return TypeClass.SIGNED_INT
-    return TypeClass.OTHER
+    return None
 
 
 def _parse_var_decl(
@@ -251,11 +247,11 @@ def _parse_var_decl(
     """
 
     toks, texts = code.toks, code.texts
-    location = _NO_LOCATION
+    location: Optional[bool] = None  # the first location word's, if any
     kept: List[int] = []
     for i in range(lo, hi if eq is None else eq):
         text = texts[i]
-        if text in _LOCATIONS and location is _NO_LOCATION:
+        if text in _LOCATIONS and location is None:
             location = _LOCATIONS[text]
         elif text not in _DECL_FILTER:
             # the head is checked before any later token is looked at, so an
@@ -280,7 +276,8 @@ def _parse_var_decl(
         return None  # function calls are not declarations
 
     return VarDecl(name=name, type_text=" ".join(type_texts),
-                   type_class=_classify_type(code, kept, type_texts), storage_location=location,
+                   type_class=_classify_type(code, kept, type_texts),
+                   memory_or_calldata=bool(location),
                    has_initializer=eq is not None, span=code.span(lo, hi))
 
 
@@ -402,13 +399,13 @@ class _BodyParser:
             elif text == "assembly":
                 i = self._handle_assembly(i)
             elif text in ("{", "}"):
-                self._emit(StmtKind.OPAQUE, i, i + 1)
+                self._emit(i, i + 1)
                 i += 1
             else:
                 i = self._handle_simple(i)
         start, end = self.body_span
         if self.lo == hi and end > start:
-            self.stmts.append(Stmt(kind=StmtKind.OPAQUE, span=(start, end), text=""))
+            self.stmts.append(Stmt(span=(start, end), text=""))
         return tuple(self.stmts), tuple(self.guards)
 
     def _handle_header(self, i: int) -> int:
@@ -426,16 +423,13 @@ class _BodyParser:
             after = min(code.partner[after] + 1, hi)
         if after < hi and texts[after] == "{":
             after += 1
-        if kw == "if":
-            self._emit(StmtKind.IF_GUARD, i, after, call=_scan_call(code, i, after))
-        else:
-            self._emit(StmtKind.OPAQUE, i, after)
+        self._emit(i, after, call=_scan_call(code, i, after) if kw == "if" else None)
         return after
 
     def _handle_assembly(self, i: int) -> int:
         code, hi = self.code, self.hi
         end = _decl_end(code, _walk_marks(code, i, hi, _DECL_ENDS)[0], hi)
-        self._emit(StmtKind.OPAQUE, i, end)
+        self._emit(i, end)
         return end
 
     def _handle_simple(self, i: int) -> int:
@@ -452,13 +446,13 @@ class _BodyParser:
         self._classify_and_emit(i, end, marks)
         return end
 
-    def _emit(self, kind: StmtKind, lo: int, hi: int, call: Optional[CallDetail] = None,
+    def _emit(self, lo: int, hi: int, call: Optional[CallDetail] = None,
               assign: Optional[AssignDetail] = None, decl: Optional[VarDecl] = None) -> None:
         toks = self.toks
         end = toks[hi - 1][END]
         if end == self.last_end:
             end = self.body_span[1]
-        self.stmts.append(Stmt(kind=kind, span=(self.prev_end, end),
+        self.stmts.append(Stmt(span=(self.prev_end, end),
                                text=" ".join(self.texts[lo:hi]), call=call, assign=assign,
                                decl=decl, tokens=toks[lo:hi]))
         self.prev_end = end
@@ -467,66 +461,56 @@ class _BodyParser:
         code, texts = self.code, self.texts
         core = hi - 1 if texts[hi - 1] == ";" else hi  # the statement without its ";"
         if core == lo:
-            self._emit(StmtKind.OPAQUE, lo, hi)
+            self._emit(lo, hi)
             return
         first = texts[lo]
         eq = marks.get("=")
 
-        if first == "return":
-            self._emit(StmtKind.RETURN, lo, hi, call=_scan_call(code, lo, core))
-            return
-        if first in ("require", "assert"):
-            self.guards.append(_guard(code, lo + 1, core, code.span(lo, core))[0])
-            self._emit(StmtKind.REQUIRE_OR_ASSERT, lo, hi, call=_scan_call(code, lo, core))
+        if first in ("return", "require", "assert", "emit", "revert", "throw", "break",
+                     "continue", "_"):
+            if first in ("require", "assert"):
+                self.guards.append(_guard(code, lo + 1, core, code.span(lo, core))[0])
+            self._emit(lo, hi, call=_scan_call(code, lo, core))
             return
         if first == "delete":
-            self._emit(StmtKind.ASSIGNMENT, lo, hi, assign=self._assign(lo + 1, core))
-            return
-        if first in ("emit", "revert", "throw", "break", "continue", "_"):
-            self._emit(StmtKind.OPAQUE, lo, hi, call=_scan_call(code, lo, core))
+            self._emit(lo, hi, assign=self._assign(lo + 1, core))
             return
 
         if _is_type_start(self.toks[lo], code.structs, code.contracts):
             decl = _parse_var_decl(code, lo, core, eq, member=False)
             if decl is not None:
-                call = _scan_call(code, lo, core)
-                kind = StmtKind.EXTERNAL_CALL if call else StmtKind.LOCAL_VAR_DECL
-                self._emit(kind, lo, hi, decl=decl, call=call)
+                self._emit(lo, hi, decl=decl, call=_scan_call(code, lo, core))
                 return
 
         if eq is not None:
-            call = _scan_call(code, eq + 1, core)
-            kind = StmtKind.EXTERNAL_CALL if call else StmtKind.ASSIGNMENT
-            self._emit(kind, lo, hi, assign=self._assign(lo, eq, eq + 1, core), call=call)
+            self._emit(lo, hi, assign=self._assign(lo, eq, eq + 1, core),
+                       call=_scan_call(code, eq + 1, core))
             return
 
         comp = marks.get("compound")
         if comp is not None:
-            assign = self._assign(lo, comp, comp + 1, core)
-            self._emit(StmtKind.COMPOUND_ASSIGNMENT, lo, hi, assign=assign)
+            self._emit(lo, hi, assign=self._assign(lo, comp, comp + 1, core, compound=True))
             return
 
         bump = marks.get("bump")
         if bump is not None:
             lhs = " ".join(texts[lo:bump] + texts[bump + 1 : core])
-            self._emit(StmtKind.COMPOUND_ASSIGNMENT, lo, hi,
-                       assign=self._assign(lo, core, lhs=lhs))
+            self._emit(lo, hi, assign=self._assign(lo, core, lhs=lhs, compound=True))
             return
 
-        call = _scan_call(code, lo, core)
-        kind = StmtKind.EXTERNAL_CALL if call else StmtKind.OPAQUE
-        self._emit(kind, lo, hi, call=call)
+        self._emit(lo, hi, call=_scan_call(code, lo, core))
 
     def _assign(self, lo: int, hi: int, rhs_lo: int = 0, rhs_hi: int = 0,
-                lhs: Optional[str] = None) -> AssignDetail:
+                lhs: Optional[str] = None, compound: bool = False) -> AssignDetail:
         """The write to ``[lo, hi)`` (its text ``lhs`` when given) of
-        ``[rhs_lo, rhs_hi)``; it writes state when its first identifier is
-        a state variable."""
+        ``[rhs_lo, rhs_hi)``, ``compound`` for an operator-assignment or
+        ``++``/``--``; it writes state when its first identifier is a state
+        variable."""
         toks, texts = self.toks, self.texts
         base = next((texts[i] for i in range(lo, hi) if toks[i][KIND] is _IDENTIFIER), "")
         return AssignDetail(lhs=" ".join(texts[lo:hi]) if lhs is None else lhs,
                             rhs=" ".join(texts[rhs_lo:rhs_hi]),
-                            lhs_is_state_var=base in self.state_vars)
+                            lhs_is_state_var=base in self.state_vars, compound=compound)
 
 
 def _parse_params(code: _Code, lo: int, hi: int) -> Tuple[VarDecl, ...]:
@@ -568,13 +552,13 @@ def _parse_function(
         params = _parse_params(code, k + 1, group)
         k = group + 1
 
-    visibility = Visibility.DEFAULT  # the last visibility word at the top level
+    exposed = True  # callable from outside, unless the last top-level visibility word says not
     for k in _top_level(code, k, stop):
-        visibility = _VISIBILITY.get(texts[k], visibility)
+        exposed = _VISIBILITY.get(texts[k], exposed)
 
     if stop >= end or texts[stop] == ";":  # no body: ends at its ";" or at ``end``
         last = toks[min(stop, end - 1)][END]
-        return FunctionDecl(name, params, visibility, (), (start, last), (last, last),
+        return FunctionDecl(name, params, exposed, (), (start, last), (last, last),
                             is_fallback, has_body=False)
 
     if closer < end:
@@ -584,7 +568,7 @@ def _parse_function(
         code.diagnostics.append(Diagnostic("unclosed function body", (start, span_end)))
     body_span = (toks[stop][END], body_end)
     body, guards = _BodyParser(code, stop + 1, closer, body_span, state_names).run()
-    return FunctionDecl(name, params, visibility, body, (start, span_end), body_span,
+    return FunctionDecl(name, params, exposed, body, (start, span_end), body_span,
                         is_fallback, guards=guards)
 
 

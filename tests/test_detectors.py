@@ -168,7 +168,9 @@ def test_uninitialized_storage_quiet_with_memory_or_init():
 @pytest.mark.parametrize("local, findings", [
     ("Rec rec;", ["A-c-US"]),
     ("Rec rec = recs[0];", []),  # points at a live record, not at slot 0
-], ids=["buggy", "fixed"])
+    ("Rec calldata rec;", []),  # an explicit data location other than storage
+    ("mapping(uint => Rec) rec;", []),  # neither a struct nor an array
+], ids=["buggy", "fixed", "calldata", "mapping"])
 def test_uninitialized_storage_needs_a_missing_initializer(local, findings):
     assert ids(run(HEADER + """
         contract C {
@@ -280,7 +282,12 @@ def test_short_address_ignores_internal_helpers():
     # neither is called by name with caller-supplied arguments
     ("function(address to, uint amount) public", []),
     ("constructor(address to, uint amount) public", []),
-], ids=["named", "fallback", "constructor"])
+    # before Solidity 0.4.22 the constructor is the function named after its
+    # contract; it runs only at deployment
+    ("function C(address to, uint amount) public", []),
+    # not publicly callable
+    ("function give(address to, uint amount) private", []),
+], ids=["named", "fallback", "constructor", "legacy-constructor", "private"])
 def test_short_address_skips_fallback_and_constructor(head, findings):
     assert ids(run(HEADER + """
         contract C {
@@ -400,7 +407,10 @@ def test_approve_race_quiet_with_zero_rule():
      "allowed[msg.sender][spender] = value;", ["F-c-T"]),
     # a per-spender flag is no allowance an owner grants a spender
     ("mapping(address => uint) approved;", "approved[spender] = value;", []),
-], ids=["buggy", "fixed"])
+    # raising the stored allowance does not overwrite it
+    ("mapping(address => mapping(address => uint)) allowed;",
+     "allowed[msg.sender][spender] += value;", []),
+], ids=["buggy", "fixed", "compound"])
 def test_approve_race_needs_an_owner_spender_allowance(state, write, findings):
     assert ids(run(HEADER + """
         contract C {

@@ -6,12 +6,7 @@ import random
 import pytest
 
 from solbuglab.detectors import detect_all
-from solbuglab.model import (
-    StmtKind,
-    StorageLocation,
-    TypeClass,
-    Visibility,
-)
+from solbuglab.model import TypeClass
 from solbuglab.parser import parse
 
 from conftest import fixture_source
@@ -112,16 +107,15 @@ def test_function_shapes():
             function pub(uint a) public payable {}
             function ext() external {}
             function inner() internal {}
+            function hidden() private {}
             function bare() { }
             function () public payable {}
         }
     """)
     fns = model.contracts[0].functions
     by_name = {f.name: f for f in fns}
-    assert by_name["pub"].visibility is Visibility.PUBLIC
-    assert by_name["ext"].visibility is Visibility.EXTERNAL
-    assert by_name["inner"].visibility is Visibility.INTERNAL
-    assert by_name["bare"].visibility is Visibility.DEFAULT
+    assert {name: f.externally_callable for name, f in by_name.items()} == {
+        "pub": True, "ext": True, "inner": False, "hidden": False, "bare": True, "": True}
     assert by_name[""].is_fallback
 
 
@@ -145,8 +139,7 @@ def test_param_classification():
 @pytest.mark.parametrize("type_name, type_class", [
     ("uint", TypeClass.UNSIGNED_INT), ("uint8", TypeClass.UNSIGNED_INT),
     ("int", TypeClass.SIGNED_INT), ("int256", TypeClass.SIGNED_INT),
-    ("uintLike", TypeClass.OTHER), ("intFlag", TypeClass.OTHER),
-    ("uint_t", TypeClass.OTHER), ("integer", TypeClass.OTHER),
+    ("uintLike", None), ("intFlag", None), ("uint_t", None), ("integer", None),
 ])
 def test_only_int_and_uint_and_their_sizes_are_integers(type_name, type_class):
     model = parse("contract C { %s s; function f(address to, %s p) public {} }"
@@ -169,8 +162,7 @@ def test_require_becomes_guard():
     """)
     fn = model.contracts[0].functions[0]
     assert [g.condition for g in fn.guards] == ["a >= 0", "a < 100", "a == 3"]
-    stmt_kinds = [s.kind for s in fn.body]
-    assert StmtKind.REQUIRE_OR_ASSERT in stmt_kinds
+    assert [s.text.split()[0] for s in fn.body] == ["require", "assert", "if", "a", "}"]
 
 
 def test_local_decl_and_storage_location():
@@ -183,18 +175,24 @@ def test_local_decl_and_storage_location():
                 S memory t = S(1);
                 uint[] u;
                 uint n = 3;
+                S calldata c;
+                S storage memory w;
+                mapping(uint => S) m;
             }
         }
     """)
     decls = [s.decl for s in model.contracts[0].functions[0].body if s.decl]
     by_name = {d.name: d for d in decls}
     assert by_name["s"].type_class is TypeClass.USER_COMPOSITE
-    assert by_name["s"].storage_location is StorageLocation.DEFAULT
+    assert not by_name["s"].memory_or_calldata
     assert not by_name["s"].has_initializer
-    assert by_name["t"].storage_location is StorageLocation.MEMORY
+    assert by_name["t"].memory_or_calldata
     assert by_name["t"].has_initializer
     assert by_name["u"].type_class is TypeClass.ARRAY
     assert by_name["n"].type_class is TypeClass.UNSIGNED_INT
+    assert by_name["c"].memory_or_calldata
+    assert not by_name["w"].memory_or_calldata  # the first location word counts
+    assert by_name["m"].type_class is None  # a mapping, though its values are structs
 
 
 def test_assignment_state_flag():
@@ -223,7 +221,7 @@ def test_delete_is_a_state_write_with_no_right_side():
         }
     """)
     (stmt,) = model.contracts[0].functions[0].body
-    assert stmt.kind is StmtKind.ASSIGNMENT
+    assert not stmt.assign.compound
     assert (stmt.assign.lhs, stmt.assign.rhs) == ("m [ a ]", "")
     assert stmt.assign.lhs_is_state_var
 
@@ -309,7 +307,7 @@ def test_assembly_is_opaque_not_fatal():
         }
     """)
     fn = model.contracts[0].functions[0]
-    assert any(s.kind is StmtKind.ASSIGNMENT for s in fn.body)
+    assert [s.assign.lhs for s in fn.body if s.assign] == ["r"]
     assert body_partition_holds(fn)
 
 
@@ -391,9 +389,10 @@ def test_unparseable_pragma_span_stops_before_the_next_contract():
 
 def declared(model):
     """Per contract, its state variable names and, per function, the name,
-    visibility and guard conditions; then the diagnostics."""
+    whether it is externally callable and the guard conditions; then the
+    diagnostics."""
     contracts = {c.name: ([v.name for v in c.state_vars],
-                          [(f.name, f.visibility.value, [g.condition for g in f.guards])
+                          [(f.name, f.externally_callable, [g.condition for g in f.guards])
                            for f in c.functions])
                  for c in model.contracts}
     return contracts, [d.message for d in model.diagnostics]
@@ -408,13 +407,13 @@ DECLARATION_ENDS = {
         {"A": ([], []), "B": (["x"], [])}, []),
     "payable-group-in-header": (
         "pragma solidity ^0.4.24; contract C { function f() payable(public) internal { } }",
-        {"C": ([], [("f", "internal", [])])}, []),
+        {"C": ([], [("f", False, [])])}, []),
     "guard-without-group-after-keyword": (
         "pragma solidity ^0.4.24; contract C { function f() public { require x (y); } }",
-        {"C": ([], [("f", "public", [""])])}, []),
+        {"C": ([], [("f", True, [""])])}, []),
     "using-with-braces-in-contract": (
         "pragma solidity ^0.4.24; contract C { using {f} for T; uint x; function g() {} }",
-        {"C": (["x"], [("g", "default", [])])}, []),
+        {"C": (["x"], [("g", True, [])])}, []),
     "import-with-braces-then-pragma": (
         'import {A} from "x"; pragma solidity ^0.4.24; contract C { uint x; }',
         {"C": (["x"], [])}, []),
@@ -493,6 +492,6 @@ def test_superscript_digit_in_body_parses():
     model = parse("pragma solidity ^0.4.24;\n"
                   "contract C { function f() public { uint x = ²; x = 1; } }")
     (fn,) = model.contracts[0].functions
-    assert [s.kind for s in fn.body] == [StmtKind.LOCAL_VAR_DECL,
-                                         StmtKind.ASSIGNMENT]
+    assert [(s.decl is not None, s.assign) for s in fn.body] == [
+        (True, None), (False, ("x", "1", False, False))]
     assert body_partition_holds(fn)

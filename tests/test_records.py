@@ -20,13 +20,13 @@ from solbuglab.parser import parse
 FIELDS = {
     model.CallDetail: ("callee", "member", "carries_value", "gas_specified",
                        "payload_empty"),
-    model.AssignDetail: ("lhs", "rhs", "lhs_is_state_var"),
-    model.VarDecl: ("name", "type_text", "type_class", "storage_location",
+    model.AssignDetail: ("lhs", "rhs", "lhs_is_state_var", "compound"),
+    model.VarDecl: ("name", "type_text", "type_class", "memory_or_calldata",
                     "has_initializer", "span"),
     model.Guard: ("condition", "span"),
-    model.Stmt: ("kind", "span", "text", "call", "assign", "decl", "tokens"),
-    model.FunctionDecl: ("name", "params", "visibility", "body", "span", "body_span",
-                         "is_fallback", "has_body", "guards"),
+    model.Stmt: ("span", "text", "call", "assign", "decl", "tokens"),
+    model.FunctionDecl: ("name", "params", "externally_callable", "body", "span",
+                         "body_span", "is_fallback", "has_body", "guards"),
     model.ContractDecl: ("name", "state_vars", "functions", "span"),
     model.Diagnostic: ("message", "span"),
     model.SourceModel: ("file_path", "pragma", "contracts", "diagnostics", "tokens"),
@@ -95,8 +95,7 @@ def test_repr_leaves_out_tokens():
         text = repr(record)
         assert text.startswith(type(record).__name__ + "(")
         assert "tokens" not in text and "Token(" not in text
-    assert repr(stmt).startswith("Stmt(kind=<StmtKind.")
-    assert "span=%r, text=%r" % (stmt.span, stmt.text) in repr(stmt)
+    assert repr(stmt).startswith("Stmt(span=%r, text=%r, " % (stmt.span, stmt.text))
     assert "diagnostics=()" in repr(source_model)
 
 

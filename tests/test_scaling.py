@@ -2,7 +2,8 @@
 (functions per contract, contracts per file, nesting depth, guarded units
 in one body) may cost at most 12x.  Detection is timed on the functions
 and contracts axes too, since the wrong-operator rule reads the whole
-token stream.
+token stream.  The same axes are also counted in Python trace events,
+which are the same on every run and every host.
 
 The 1x side is timed as eight runs in a row, kept alive like the 8x
 result, so both sides run equally long and hold equally much output;
@@ -11,6 +12,7 @@ is the process's CPU time, so another process sharing the CPU does not
 count against the ratio.
 """
 
+import sys
 import time
 from functools import partial
 
@@ -119,3 +121,42 @@ def test_detect_scales_linearly(make, base, findings_at_8x):
         del findings
     ratio = min(large_s) / min(small_s)
     assert ratio <= BOUND, "8x input took %.1fx as long" % ratio
+
+
+EVENT_BOUND = 8.5  # 7.7-8.1 measured
+
+
+def trace_events(source):
+    """The Python trace events (calls, lines, returns, exceptions) of
+    ``detect_all(parse(source))`` in this thread."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        detect_all(parse(source))
+    finally:
+        sys.settrace(None)
+    return count
+
+
+@pytest.mark.parametrize("make, scale, bound", [
+    (functions_source, 8, EVENT_BOUND),
+    (contracts_source, 8, EVENT_BOUND),
+    (depth_source, 8, EVENT_BOUND),
+    (partial(guarded_source, nested=False), 8, EVENT_BOUND),
+    (partial(guarded_source, nested=True), 8, EVENT_BOUND),
+    (depth_source, 64, 68.0),  # 61.6 measured
+], ids=["functions", "contracts", "depth", "guards", "guards-nested", "depth-64x"])
+def test_counted_work_scales_linearly(make, scale, bound):
+    """Counted work on input ``scale`` times larger grows at most ``bound``
+    times.  Trace events do not see work inside a C call, so a quadratic
+    slice, join or ``in`` on a list shows only in the CPU-time tests above,
+    which stay."""
+    detect_all(parse(make(1)))  # fill the caches that the first parse fills
+    ratio = trace_events(make(100 * scale)) / trace_events(make(100))
+    assert ratio <= bound, "%dx input took %.2fx the trace events" % (scale, ratio)

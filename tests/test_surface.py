@@ -164,3 +164,33 @@ def test_every_model_field_is_read_outside_the_tests():
     unread = ["model.py:%d %s.%s" % (line, record, field)
               for record, field, line in _record_fields(tree) if field not in reads]
     assert unread == [], "no program path reads: " + ", ".join(unread)
+
+
+def _enum_members(tree):
+    """(enum, member, line) of each member of each ``Enum`` class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) == "Enum" for base in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and isinstance(item.targets[0], ast.Name):
+                    yield node.name, item.targets[0].id, item.lineno
+
+
+def test_every_model_enum_member_is_named_outside_the_parser():
+    """A member of a ``model.py`` enum that only the parser names is a
+    distinction the parser computes and no rule reads.
+
+    Some file of ``src/`` other than ``model.py`` and ``parser.py``, or of
+    ``perfbench/`` or ``tools/``, must say ``Enum.MEMBER``.
+    """
+    program = "\n".join(
+        _read(path)
+        for pattern in ("src/solbuglab/*.py", "perfbench/*.py", "tools/*.py")
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern)))
+        if os.path.basename(path) not in ("model.py", "parser.py"))
+    named = set(re.findall(r"\b(\w+\.\w+)\b", program))
+    tree = ast.parse(_read(os.path.join(ROOT, "src", "solbuglab", "model.py")))
+    unread = ["model.py:%d %s.%s" % (line, enum, member)
+              for enum, member, line in _enum_members(tree)
+              if "%s.%s" % (enum, member) not in named]
+    assert unread == [], "only the parser names: " + ", ".join(unread)

@@ -56,6 +56,11 @@ FRAGMENTS = (
     "address r = ecrecover(h, v, r, s);", "require(r == s);", "a[b][c] = d;",
     "a[msg.sender][s] = v;", "require(v == 0);",
     "function approve(address s, uint v) public { ",
+    # what tells writes, visibility, data locations and type classes apart,
+    # and a guard whose operand has a longer word before it
+    "a[msg.sender][s] += v;", "x++;", "delete a[b][c];", "private ", "S memory t;",
+    "S calldata t;", "S storage t;", "mapping(uint => S) ms;", "return a.call.value(1)();",
+    "require(ax.b >= 0);", "uint(x.b)",
 )
 
 # Run in each child with the tree's ``src`` on the path: one line of JSON per
