@@ -261,13 +261,7 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    try:
-        from . import collector  # imports requests, which no other command needs
-    except ImportError:
-        print("error: watch needs the requests package; install solbuglab[watch]",
-              file=sys.stderr)
-        return 2
-
+    from . import collector  # imports urllib.request, which no other command needs
     config = collector.load_config(args.config) if args.config else collector.WatchConfig()
     if args.replay:
         client = collector.RecordedSearchClient(args.replay)

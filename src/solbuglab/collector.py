@@ -9,6 +9,7 @@ Each cycle reads ``default_clock`` once, and that stamp is both the state's
 cursor and a webhook's ``at``.
 """
 
+import http.client
 import json
 import os
 import sys
@@ -17,9 +18,9 @@ import time
 from datetime import datetime, timezone
 from threading import TIMEOUT_MAX
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
-from urllib.parse import urlparse
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import urlencode, urlparse
+from urllib.request import Request, urlopen
 
 from .inputs import InputError, read_json
 
@@ -52,6 +53,15 @@ class WatchConfig(NamedTuple):
     notify: str = "stdout"  # "stdout" or a webhook URL
 
 
+def _http_url(value: object) -> bool:
+    """Whether ``value`` is an http(s) URL that names a host."""
+    try:
+        return (isinstance(value, str) and value.startswith(("http://", "https://"))
+                and bool(urlparse(value).hostname))
+    except ValueError:  # urlparse refuses, for one, an unclosed "[" around an IPv6 host
+        return False
+
+
 def load_config(path: str) -> WatchConfig:
     """Read a config JSON file; every key is optional, every problem is
     reported at once."""
@@ -81,12 +91,13 @@ def load_config(path: str) -> WatchConfig:
         if value is not None:
             if not isinstance(value, str) or not value:
                 problems.append("%s must be a non-empty string" % key)
+            elif key == "endpoint" and not _http_url(value):
+                problems.append("endpoint must be an http(s) URL")
             else:
                 fields[key] = value
     notify = raw.get("notify")
     if notify is not None:
-        if notify == "stdout" or (isinstance(notify, str)
-                                  and notify.startswith(("http://", "https://"))):
+        if notify == "stdout" or _http_url(notify):
             fields["notify"] = notify
         else:
             problems.append("notify must be 'stdout' or an http(s) URL")
@@ -101,6 +112,17 @@ class ProjectSnapshot(NamedTuple):
     matched_keyword: str  # every matching keyword, sorted, joined with "; "
 
 
+def _send(request: Request) -> Tuple[int, Mapping[str, str], bytes]:
+    """The reply's status, headers and body, an error status included. No
+    reply at all raises OSError or http.client.HTTPException."""
+    try:
+        reply = urlopen(request, timeout=30)
+    except HTTPError as error:  # a 4xx or 5xx status: a reply all the same
+        reply = error
+    with reply:
+        return reply.status, reply.headers, reply.read()
+
+
 class HttpSearchClient:
     """Keyword search against a code-host search API.
 
@@ -111,29 +133,25 @@ class HttpSearchClient:
 
     def __init__(self, config: WatchConfig):
         self._config = config
-        self._session = requests.Session()
         self._token = os.environ.get(config.token_env, "")
-
-    def _headers(self) -> Dict[str, str]:
-        headers = {"Accept": "application/vnd.github+json"}
-        if self._token:
-            headers["Authorization"] = "Bearer %s" % self._token
-        return headers
 
     def _get(self, params: Dict[str, object]) -> object:
         config = self._config
+        url = config.endpoint + ("&" if "?" in config.endpoint else "?") + urlencode(params)
+        request = Request(url, headers={"Accept": "application/vnd.github+json"})
+        if self._token:  # for the endpoint alone: a redirect does not carry it on
+            request.add_unredirected_header("Authorization", "Bearer %s" % self._token)
         delay = 1.0
         for attempt in range(MAX_RETRIES + 1):
             try:
-                response = self._session.get(config.endpoint, params=params,
-                                             headers=self._headers(), timeout=30)
-            except requests.RequestException as exc:
+                status, headers, body = _send(request)
+            except (OSError, http.client.HTTPException) as exc:
                 failure = "search request failed after %d retries: %s" % (MAX_RETRIES, exc)
             else:
-                if response.status_code in (401, 403):
-                    remaining = response.headers.get("X-RateLimit-Remaining")
-                    reset = response.headers.get("X-RateLimit-Reset")
-                    if response.status_code == 403 and remaining == "0" and reset:
+                if status in (401, 403):
+                    remaining = headers.get("X-RateLimit-Remaining")
+                    reset = headers.get("X-RateLimit-Reset")
+                    if status == 403 and remaining == "0" and reset:
                         if attempt < MAX_RETRIES:
                             try:
                                 time.sleep(max(0.0, float(reset) - time.time()) + 1.0)
@@ -143,15 +161,16 @@ class HttpSearchClient:
                         continue
                     raise AuthError(
                         "search authentication failed (HTTP %d): set $%s to a valid "
-                        "API token for %s" % (response.status_code,
-                                              config.token_env, config.endpoint))
-                if response.status_code < 500:
-                    response.raise_for_status()
+                        "API token for %s" % (status, config.token_env, config.endpoint))
+                if status < 400:
                     try:
-                        return response.json()
+                        return json.loads(body)
                     except ValueError:  # not JSON: search reports it as no result page
                         return None
-                failure = "search endpoint kept failing (HTTP %d)" % response.status_code
+                if status < 500:
+                    raise RuntimeError("search endpoint %s answered HTTP %d"
+                                       % (config.endpoint, status))
+                failure = "search endpoint kept failing (HTTP %d)" % status
             if attempt == MAX_RETRIES:
                 raise RuntimeError(failure)
             time.sleep(delay)  # exponential backoff
@@ -280,11 +299,11 @@ def notify_webhook(changes: ChangeSet, url: str, at: str) -> bool:
         "removed": [s._asdict() for s in changes.removed],
         "at": at,
     }
+    request = Request(url, json.dumps(body).encode(), {"Content-Type": "application/json"})
     try:
-        response = requests.post(url, json=body, timeout=30)
-    except requests.RequestException:
+        return 200 <= _send(request)[0] < 300
+    except (OSError, http.client.HTTPException):
         return False
-    return 200 <= response.status_code < 300
 
 
 def load_state(path: str) -> Tuple[Optional[str], Dict[str, ProjectSnapshot]]:

@@ -37,6 +37,8 @@ from solbuglab.taxonomy import (
 )
 from solbuglab.versions import ANY_VERSION
 
+from test_collector import FakeResponse, FakeUrlopen
+
 
 def test_criterion_1_detector_pairs(manifest):
     """Every buggy fixture yields exactly its labeled finding, its fixed
@@ -373,42 +375,27 @@ def test_criterion_9_watch_state_durability(tmp_path, monkeypatch):
     ]}), encoding="utf-8")
     client = RecordedSearchClient(str(replay))
 
-    class Down:
-        status_code = 502
-
     monkeypatch.setattr(collector, "default_clock", lambda: "t1")
-    monkeypatch.setattr(collector.requests, "post", lambda url, json, timeout: Down())
+    monkeypatch.setattr(collector, "urlopen", FakeUrlopen([FakeResponse(502)]))
     failed = run_cycle(config, client)
     assert failed.status == "delivery-failed"
     assert not os.path.exists(config.state_path)
 
-    class Up:
-        status_code = 200
-
-    seen = {}
-
-    def accept(url, json, timeout):
-        seen["body"] = json
-        return Up()
-
+    hook = FakeUrlopen([FakeResponse(200)])
     monkeypatch.setattr(collector, "default_clock", lambda: "t2")
-    monkeypatch.setattr(collector.requests, "post", accept)
+    monkeypatch.setattr(collector, "urlopen", hook)
     retried = run_cycle(config, client)
     assert retried.status == "ok"
     assert retried.changes == failed.changes  # same delta delivered
-    assert [p["project_id"] for p in seen["body"]["added"]] == ["github.com/a/x"]
+    assert [p["project_id"] for p in json.loads(hook.requests[0].data)["added"]] == [
+        "github.com/a/x"]
     assert load_state(config.state_path)[0] == "t2"
 
     # same inputs, same clock: state files and notification bodies match
     # byte for byte across independent runs
-    bodies = []
-
-    def capture(url, json, timeout):
-        bodies.append(json)
-        return Up()
-
+    capture = FakeUrlopen([FakeResponse(200)] * 2)
     monkeypatch.setattr(collector, "default_clock", lambda: "t9")
-    monkeypatch.setattr(collector.requests, "post", capture)
+    monkeypatch.setattr(collector, "urlopen", capture)
     twins = []
     for run in ("one", "two"):
         twin = WatchConfig(keywords=("k",), notify="https://hooks.example/in",
@@ -417,5 +404,4 @@ def test_criterion_9_watch_state_durability(tmp_path, monkeypatch):
         assert result.status == "ok"
         twins.append(twin.state_path)
     assert open(twins[0], "rb").read() == open(twins[1], "rb").read()
-    assert (json.dumps(bodies[0], sort_keys=True)
-            == json.dumps(bodies[1], sort_keys=True))
+    assert capture.requests[0].data == capture.requests[1].data

@@ -519,10 +519,10 @@ def test_watch_refuses_an_interval_too_long_to_sleep(capsys, tmp_path):
 
 def test_watch_refuses_a_search_reply_that_is_no_result_page(capsys, monkeypatch, tmp_path):
     from solbuglab import collector
-    from test_collector import FakeResponse, FakeSession
+    from test_collector import FakeResponse, FakeUrlopen
 
-    session = FakeSession([FakeResponse(200, ["not", "an", "object"])])
-    monkeypatch.setattr(collector.requests, "Session", lambda: session)
+    monkeypatch.setattr(collector, "urlopen",
+                        FakeUrlopen([FakeResponse(200, ["not", "an", "object"])]))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"keywords": ["k"], "endpoint": "https://search.example/api",
                                   "state_path": str(tmp_path / "state.json")}),
@@ -531,6 +531,39 @@ def test_watch_refuses_a_search_reply_that_is_no_result_page(capsys, monkeypatch
     assert code == 2
     assert err == ("error: search reply from https://search.example/api is not a "
                    "JSON object with an items list of objects\n")
+    assert not os.path.exists(str(tmp_path / "state.json"))
+
+
+def test_watch_ends_a_search_answered_4xx_without_a_retry(capsys, monkeypatch, tmp_path):
+    from solbuglab import collector
+    from test_collector import FakeResponse, FakeUrlopen
+
+    monkeypatch.setattr(collector, "urlopen", FakeUrlopen([FakeResponse(404)]))
+    naps = []
+    monkeypatch.setattr(collector.time, "sleep", naps.append)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "endpoint": "https://search.example/api",
+                                  "state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    code, _, err = run_cli(capsys, "watch", "--config", str(config), "--once")
+    assert (code, err, naps) == (
+        2, "error: search endpoint https://search.example/api answered HTTP 404\n", [])
+    assert not os.path.exists(str(tmp_path / "state.json"))
+
+
+def test_watch_refuses_an_endpoint_that_is_no_http_url(capsys, monkeypatch, tmp_path):
+    from solbuglab import collector
+
+    naps = []
+    monkeypatch.setattr(collector.time, "sleep", naps.append)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keywords": ["k"], "endpoint": "api.example/search",
+                                  "state_path": str(tmp_path / "state.json")}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "watch", "--config", str(config), "--once")
+    assert (code, out, naps) == (2, "", [])
+    assert err == ("error: %s: watch config has 1 problem(s):\n"
+                   "  endpoint must be an http(s) URL\n" % config)
     assert not os.path.exists(str(tmp_path / "state.json"))
 
 
@@ -626,21 +659,11 @@ def run_python(probe):
 def test_import_does_not_load_requests():
     # each command imports what only it needs, so the others skip that cost
     probe = ("import sys, solbuglab.cli; print(*(name in sys.modules for name in "
-             "('requests', 'solbuglab.collector', 'solbuglab.corpus', "
+             "('urllib.request', 'solbuglab.collector', 'solbuglab.corpus', "
              "'solbuglab.evaluation')))")
     done = run_python(probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"] * 4
-
-
-def test_watch_without_requests_exits_with_a_hint():
-    probe = ("import sys; sys.modules['requests'] = None; "
-             "from solbuglab import cli; sys.exit(cli.main(['watch', '--once']))")
-    done = run_python(probe)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == ("error: watch needs the requests package; "
-                           "install solbuglab[watch]\n")
 
 
 # --- the process boundary ----------------------------------------------------

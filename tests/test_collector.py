@@ -1,12 +1,16 @@
 """Watcher: polling, diffing, delivery, and state durability."""
 
+import http.client
+import http.server
+import io
 import json
 import os
 import threading
 import time
+from urllib.error import HTTPError
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
-import requests
 
 from solbuglab import collector
 from solbuglab.collector import (
@@ -175,31 +179,21 @@ def test_failed_webhook_keeps_state(tmp_path, monkeypatch):
                          notify="https://hooks.example/in")
     client = replay(tmp_path, {"k": [item("a/x", "2026-01-01T00:00:00Z")]})
 
-    class Failing:
-        status_code = 500
-
     clock_reads(monkeypatch, "t1", "t2")
-    monkeypatch.setattr(collector.requests, "post", lambda url, json, timeout: Failing())
+    monkeypatch.setattr(collector, "urlopen", FakeUrlopen([FakeResponse(500)]))
     result = run_cycle(config, client)
     assert result.status == "delivery-failed"
     assert not os.path.exists(config.state_path)
 
-    class Accepted:
-        status_code = 204
-
-    posted = {}
-
-    def accept(url, json, timeout):
-        posted["url"] = url
-        posted["body"] = json
-        return Accepted()
-
-    monkeypatch.setattr(collector.requests, "post", accept)
+    hook = FakeUrlopen([FakeResponse(204)])
+    monkeypatch.setattr(collector, "urlopen", hook)
     retry = run_cycle(config, client)
     assert retry.status == "ok"
-    assert posted["url"] == "https://hooks.example/in"
-    assert [p["project_id"] for p in posted["body"]["added"]] == ["github.com/a/x"]
-    assert posted["body"]["at"] == "t2"
+    posted = hook.requests[0]
+    assert posted.full_url == "https://hooks.example/in"
+    body = json.loads(posted.data)
+    assert [p["project_id"] for p in body["added"]] == ["github.com/a/x"]
+    assert body["at"] == "t2"
     assert load_state(config.state_path)[0] == "t2"
 
 
@@ -207,13 +201,20 @@ def test_webhook_connection_error_is_failed_delivery(tmp_path, monkeypatch):
     config = WatchConfig(keywords=("k",), state_path=str(tmp_path / "s.json"),
                          notify="https://hooks.example/in")
     client = replay(tmp_path, {"k": [item("a/x", "2026-01-01T00:00:00Z")]})
-
-    def explode(url, json, timeout):
-        raise requests.ConnectionError("refused")
-
-    monkeypatch.setattr(collector.requests, "post", explode)
+    monkeypatch.setattr(collector, "urlopen", FakeUrlopen([ConnectionRefusedError("refused")]))
     result = run_cycle(config, client)
     assert result.status == "delivery-failed"
+
+
+def test_webhook_malformed_reply_is_failed_delivery(tmp_path, monkeypatch):
+    config = WatchConfig(keywords=("k",), state_path=str(tmp_path / "s.json"),
+                         notify="https://hooks.example/in")
+    client = replay(tmp_path, {"k": [item("a/x", "2026-01-01T00:00:00Z")]})
+    monkeypatch.setattr(collector, "urlopen",
+                        FakeUrlopen([http.client.BadStatusLine("HTTP/9 nope")]))
+    result = run_cycle(config, client)
+    assert result.status == "delivery-failed"
+    assert not os.path.exists(config.state_path)
 
 
 def test_watch_loop_sleeps_interval(tmp_path, monkeypatch):
@@ -235,35 +236,53 @@ def test_replayed_auth_failure(tmp_path):
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, headers=None):
-        self.status_code = status_code
-        self._payload = payload if payload is not None else {"items": []}
+    """A reply of ``FakeUrlopen``: a status, headers, and a JSON body."""
+
+    def __init__(self, status, payload=None, headers=None):
+        self.status = status
         self.headers = headers or {}
+        self.body = json.dumps({"items": []} if payload is None else payload).encode()
 
-    def json(self):
-        return self._payload
+    def read(self):
+        return self.body
 
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(str(self.status_code))
+    def __enter__(self):
+        return self
 
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def get(self, url, params=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "params": dict(params), "headers": headers})
-        result = self.responses.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
+    def __exit__(self, *exc_info):
+        return None
 
 
-def http_client(monkeypatch, config, session, naps=None):
-    """An HttpSearchClient on ``session`` whose sleeps go to ``naps``."""
-    monkeypatch.setattr(collector.requests, "Session", lambda: session)
+class FakeUrlopen:
+    """Stands in for ``urlopen`` as ``collector`` binds it: records each
+    request and answers with the next reply. It raises a reply that is an
+    exception, and a reply with a status of 300 or more as ``HTTPError``,
+    as ``urlopen`` does."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+
+    def __call__(self, request, timeout):
+        self.requests.append(request)
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        if reply.status >= 300:
+            raise HTTPError(request.full_url, reply.status, "", reply.headers,
+                            io.BytesIO(reply.body))
+        return reply
+
+
+def query(request):
+    """The query parameters of ``request``'s URL."""
+    return dict(parse_qsl(urlsplit(request.full_url).query))
+
+
+def http_client(monkeypatch, config, fake, naps=None):
+    """An HttpSearchClient whose requests go to ``fake`` and whose sleeps
+    go to ``naps``."""
+    monkeypatch.setattr(collector, "urlopen", fake)
     monkeypatch.setattr(collector.time, "sleep", [].append if naps is None else naps.append)
     return HttpSearchClient(config)
 
@@ -272,36 +291,37 @@ def test_http_client_pages_until_short_batch(monkeypatch):
     monkeypatch.setattr(collector, "PER_PAGE", 2)
     monkeypatch.setattr(collector, "MAX_PAGES", 5)
     config = WatchConfig()
-    session = FakeSession([
+    fake = FakeUrlopen([
         FakeResponse(200, {"items": [item("a/x", "t"), item("b/y", "t")]}),
         FakeResponse(200, {"items": [item("c/z", "t")]}),
     ])
-    client = http_client(monkeypatch, config, session)
+    client = http_client(monkeypatch, config, fake)
     results = client.search("smart contract bugs")
     assert len(results) == 3
-    assert [c["params"]["page"] for c in session.calls] == [1, 2]
-    assert session.calls[0]["params"]["q"] == "smart contract bugs"
+    assert [query(r)["page"] for r in fake.requests] == ["1", "2"]
+    assert query(fake.requests[0])["q"] == "smart contract bugs"
 
 
 def test_http_client_retries_with_backoff_then_succeeds(monkeypatch):
     monkeypatch.setattr(collector, "MAX_RETRIES", 3)
     config = WatchConfig()
-    session = FakeSession([
-        requests.ConnectionError("reset"),
+    fake = FakeUrlopen([
+        ConnectionResetError("reset"),
         FakeResponse(503),
+        http.client.IncompleteRead(b""),
         FakeResponse(200, {"items": []}),
     ])
     naps = []
-    client = http_client(monkeypatch, config, session, naps)
+    client = http_client(monkeypatch, config, fake, naps)
     assert client.search("k") == []
-    assert naps == [1.0, 2.0]  # doubling delays
+    assert naps == [1.0, 2.0, 4.0]  # doubling delays
 
 
 def test_http_client_gives_up_after_max_retries(monkeypatch):
     monkeypatch.setattr(collector, "MAX_RETRIES", 1)
     config = WatchConfig()
-    session = FakeSession([FakeResponse(500), FakeResponse(500)])
-    client = http_client(monkeypatch, config, session)
+    fake = FakeUrlopen([FakeResponse(500), FakeResponse(500)])
+    client = http_client(monkeypatch, config, fake)
     with pytest.raises(RuntimeError):
         client.search("k")
 
@@ -309,8 +329,8 @@ def test_http_client_gives_up_after_max_retries(monkeypatch):
 def test_http_client_auth_error_names_the_fix(monkeypatch):
     monkeypatch.setenv("REPO_SEARCH_TOKEN", "expired")
     config = WatchConfig()
-    session = FakeSession([FakeResponse(401)])
-    client = http_client(monkeypatch, config, session)
+    fake = FakeUrlopen([FakeResponse(401)])
+    client = http_client(monkeypatch, config, fake)
     with pytest.raises(AuthError) as err:
         client.search("k")
     message = str(err.value)
@@ -320,13 +340,13 @@ def test_http_client_auth_error_names_the_fix(monkeypatch):
 
 def test_http_client_sleeps_through_rate_limit(monkeypatch):
     config = WatchConfig()
-    session = FakeSession([
+    fake = FakeUrlopen([
         FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
                                    "X-RateLimit-Reset": "0"}),
         FakeResponse(200, {"items": []}),
     ])
     naps = []
-    client = http_client(monkeypatch, config, session, naps)
+    client = http_client(monkeypatch, config, fake, naps)
     assert client.search("k") == []
     assert len(naps) == 1
 
@@ -336,13 +356,13 @@ def test_http_client_names_a_rate_limit_that_never_resets(monkeypatch):
     config = WatchConfig()
     limited = FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
                                          "X-RateLimit-Reset": "0"})
-    session = FakeSession([limited] * 3)
+    fake = FakeUrlopen([limited] * 3)
     naps = []
-    client = http_client(monkeypatch, config, session, naps)
+    client = http_client(monkeypatch, config, fake, naps)
     with pytest.raises(RuntimeError) as err:
         client.search("k")
     assert str(err.value) == "search rate limit did not reset after 2 retries"
-    assert (len(session.calls), len(naps)) == (3, 2)  # no sleep after the last reply
+    assert (len(fake.requests), len(naps)) == (3, 2)  # no sleep after the last reply
 
 
 @pytest.mark.parametrize("reset", ["soon", "inf"])
@@ -350,9 +370,9 @@ def test_http_client_backs_off_a_rate_limit_with_no_reset_time(monkeypatch, rese
     monkeypatch.setattr(collector, "MAX_RETRIES", 2)
     limited = FakeResponse(403, headers={"X-RateLimit-Remaining": "0",
                                          "X-RateLimit-Reset": reset})
-    session = FakeSession([limited] * 3)
+    fake = FakeUrlopen([limited] * 3)
     naps = []
-    client = http_client(monkeypatch, WatchConfig(), session)
+    client = http_client(monkeypatch, WatchConfig(), fake)
 
     def nap(seconds):
         if seconds == float("inf"):  # as time.sleep does
@@ -363,12 +383,12 @@ def test_http_client_backs_off_a_rate_limit_with_no_reset_time(monkeypatch, rese
     with pytest.raises(RuntimeError) as err:
         client.search("k")
     assert str(err.value) == "search rate limit did not reset after 2 retries"
-    assert (len(session.calls), naps) == (3, [1.0, 2.0])  # the usual backoff
+    assert (len(fake.requests), naps) == (3, [1.0, 2.0])  # the usual backoff
 
 
 class NotJsonResponse(FakeResponse):
-    def json(self):
-        raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+    def read(self):
+        return b"<html>"
 
 
 @pytest.mark.parametrize("reply", [
@@ -377,8 +397,8 @@ class NotJsonResponse(FakeResponse):
 ], ids=["list", "items-number", "item-string", "not-json"])
 def test_http_client_rejects_a_reply_that_is_no_result_page(monkeypatch, reply):
     config = WatchConfig(endpoint="https://search.example/api")
-    session = FakeSession([reply])
-    client = http_client(monkeypatch, config, session)
+    fake = FakeUrlopen([reply])
+    client = http_client(monkeypatch, config, fake)
     with pytest.raises(RuntimeError) as err:
         client.search("k")
     assert str(err.value) == ("search reply from https://search.example/api is not a "
@@ -387,10 +407,95 @@ def test_http_client_rejects_a_reply_that_is_no_result_page(monkeypatch, reply):
 
 def test_http_client_403_without_rate_limit_is_auth(monkeypatch):
     config = WatchConfig()
-    session = FakeSession([FakeResponse(403)])
-    client = http_client(monkeypatch, config, session)
+    fake = FakeUrlopen([FakeResponse(403)])
+    client = http_client(monkeypatch, config, fake)
     with pytest.raises(AuthError):
         client.search("k")
+
+
+def test_search_and_webhook_over_a_real_http_server(monkeypatch):
+    """The search client and the webhook against a localhost server, with
+    only the sleeps replaced."""
+    replies = {  # path: the replies it gives in turn, as (status, headers, body)
+        "/search": [(200, {}, json.dumps({"items": [item("a/x", "t"), item("b/y", "t")]})),
+                    (200, {}, json.dumps({"items": [item("c/z", "t")]}))],
+        "/flaky": [(500, {}, ""), (200, {}, '{"items": []}')],
+        "/limited": [(403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "soon"},
+                      "")] * 4,
+        "/html": [(200, {"Content-Type": "text/html"}, "<html>")],
+        "/404": [(404, {}, "")],
+        "/hook": [(500, {}, ""), (204, {}, "")],
+    }
+    seen = []  # (method, path with query, headers, body) of each request
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            seen.append((self.command, self.path, self.headers, body))
+            status, headers, reply = replies[urlsplit(self.path).path].pop(0)
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply.encode())
+
+        do_POST = do_GET
+
+        def log_message(self, *args):
+            pass
+
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "127.0.0.1")
+    monkeypatch.setenv("REPO_SEARCH_TOKEN", "sekrit")
+    monkeypatch.setattr(collector, "PER_PAGE", 2)
+    naps = []
+    monkeypatch.setattr(collector.time, "sleep", naps.append)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        base = "http://127.0.0.1:%d" % server.server_address[1]
+
+        def search(path):
+            return HttpSearchClient(WatchConfig(endpoint=base + path)).search("smart bugs")
+
+        assert [i["full_name"] for i in search("/search")] == ["a/x", "b/y", "c/z"]
+        assert [(method, path) for method, path, _, _ in seen] == [
+            ("GET", "/search?q=smart+bugs&per_page=2&page=1"),
+            ("GET", "/search?q=smart+bugs&per_page=2&page=2")]
+        headers = seen[0][2]
+        assert headers["Accept"] == "application/vnd.github+json"
+        assert headers["Authorization"] == "Bearer sekrit"
+
+        assert search("/flaky") == []
+        assert naps == [1.0]
+        with pytest.raises(RuntimeError) as err:
+            search("/limited")
+        assert str(err.value) == "search rate limit did not reset after 3 retries"
+        assert naps == [1.0, 1.0, 2.0, 4.0]
+        with pytest.raises(RuntimeError) as err:
+            search("/html")
+        assert str(err.value) == ("search reply from %s/html is not a JSON object with "
+                                  "an items list of objects" % base)
+        with pytest.raises(RuntimeError) as err:
+            search("/404")
+        assert str(err.value) == "search endpoint %s/404 answered HTTP 404" % base
+        assert naps == [1.0, 1.0, 2.0, 4.0]  # neither is retried
+
+        del seen[:]
+        changes = collector.ChangeSet(added=(snap("github.com/a/x", "t"),))
+        assert not collector.notify_webhook(changes, base + "/hook", "t1")
+        assert collector.notify_webhook(changes, base + "/hook", "t1")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    posted = (b'{"added": [{"project_id": "github.com/a/x", "last_update": "t", '
+              b'"matched_keyword": "k"}], "updated": [], "removed": [], "at": "t1"}')
+    assert [(method, path, body) for method, path, _, body in seen] == [
+        ("POST", "/hook", posted)] * 2
+    assert [headers["Content-Type"] for _, _, headers, _ in seen] == ["application/json"] * 2
 
 
 def test_load_config_round_trip(tmp_path):
@@ -414,11 +519,30 @@ def test_load_config_reports_every_problem(tmp_path):
         "keywords": [],
         "interval_days": True,
         "notify": "gopher://x",
+        "endpoint": "api.example/search",
         "mystery": 1,
     }), encoding="utf-8")
     with pytest.raises(InputError) as err:
         load_config(str(path))
-    assert len(err.value.problems) == 4
+    assert len(err.value.problems) == 5
+
+
+@pytest.mark.parametrize("key, problem", [
+    ("endpoint", "endpoint must be an http(s) URL"),
+    ("notify", "notify must be 'stdout' or an http(s) URL"),
+])
+@pytest.mark.parametrize("url", ["api.example/search", "http://[::1/search", "https:///search"],
+                         ids=["no-scheme", "open-bracket", "no-host"])
+def test_load_config_refuses_a_url_with_no_host_to_send_to(tmp_path, key, problem, url):
+    # urllib's Request raises ValueError on the first two, and urlopen finds
+    # no host in the third, so a watch with any of them could never send
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: url}), encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        load_config(str(path))
+    assert err.value.problems == [problem]
+    path.write_text(json.dumps({key: "http://[::1]:8080/search"}), encoding="utf-8")
+    assert getattr(load_config(str(path)), key) == "http://[::1]:8080/search"
 
 
 def test_load_config_bounds_interval_days_by_the_longest_sleep(tmp_path):

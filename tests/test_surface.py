@@ -1,5 +1,6 @@
 """Every public name, every parameter default and every model field in the
-package is used by a program path, not only by the tests.
+package is used by a program path, not only by the tests; and the package
+runs on the standard library alone.
 
 A public top-level function or class of ``src/solbuglab/*.py``, or a public
 method of such a class (dunders aside), must be named somewhere that is not
@@ -17,7 +18,10 @@ import ast
 import glob
 import os
 import re
+import sys
 from collections import Counter
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -194,3 +198,28 @@ def test_every_model_enum_member_is_named_outside_the_parser():
               for enum, member, line in _enum_members(tree)
               if "%s.%s" % (enum, member) not in named]
     assert unread == [], "only the parser names: " + ", ".join(unread)
+
+
+def test_the_package_imports_the_standard_library_alone():
+    """No module of ``src/solbuglab`` imports a third-party package, and
+    ``pyproject.toml`` declares no runtime dependency and no extra but the
+    test one."""
+    foreign = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "solbuglab", "*.py"))):
+        for node in ast.walk(ast.parse(_read(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += ["%s:%d %s" % (os.path.basename(path), node.lineno, root)
+                        for root in roots
+                        if root not in sys.stdlib_module_names and root != "solbuglab"]
+    assert foreign == [], "imports outside the standard library: " + ", ".join(foreign)
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert list(project["optional-dependencies"]) == ["test"]
